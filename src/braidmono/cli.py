@@ -7,6 +7,7 @@ violation (a bug in the library, not in the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -281,8 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except AssertionError as exc:

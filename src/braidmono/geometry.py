@@ -1,12 +1,20 @@
 """Exact rational plane geometry for admissible configurations: orientation
 predicates, local triangles, the mu-index, extremal points, and angular
-chains around them.  Everything is Fraction-exact; no floats.
+chains around them.
+
+`validate_admissible` scales a configuration once to integer coordinates
+(orientation is invariant under positive scaling) and tabulates the sign of
+every orientation and tangent side, as bitmasks of points.  The predicates
+below only read those tables, so they are exact without any Fraction
+arithmetic.  Convex hulls are memoised per active subset on the
+configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .monodromy import ParityClass
 
@@ -28,39 +36,62 @@ class RationalPoint:
     def of(x, y) -> "RationalPoint":
         return RationalPoint(_frac(x), _frac(y))
 
-    def __sub__(self, other: "RationalPoint"):
-        return (self.x - other.x, self.y - other.y)
-
-
-def cross(u, v) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def dot(u, v) -> Fraction:
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def sign(x) -> int:
-    return (x > 0) - (x < 0)
-
 
 def orient(a: RationalPoint, b: RationalPoint, c: RationalPoint) -> int:
-    """+1 counterclockwise, -1 clockwise, 0 collinear."""
-    return sign(cross(b - a, c - a))
+    """+1 counterclockwise, -1 clockwise, 0 collinear.
+
+    The configuration predicates read this sign from the table built by
+    `validate_admissible` instead of recomputing it.
+    """
+    d = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return (d > 0) - (d < 0)
+
+
+def scale_to_int(coords) -> list:
+    """The rationals `coords` times the lcm of their denominators: integers
+    in the same ratios."""
+    fracs = [_frac(c) for c in coords]
+    s = lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (s // c.denominator) for c in fracs]
 
 
 @dataclass(frozen=True)
 class AdmissibleConfig:
     """Distinct points, no three collinear, tangent at each point never a
-    positive multiple of the direction to another point."""
+    positive multiple of the direction to another point.
+
+    The remaining fields are derived by `validate_admissible` and take no
+    part in equality.  Point sets are bitmasks, bit k standing for the
+    1-based point k:
+      left[a][b]       the points c with orient(z_a, z_b, z_c) = +1 (left of
+                       z_a -> z_b); those with -1 are left[b][a].  This is
+                       the orientation-sign table, one row per (a, b).
+      tangent_side[w]  (the points a with sign(cross(z_a - z_w, v_w)) = +1,
+                       those with -1).
+      lex_order        point indices by increasing (x, y).
+      hulls            extremal points per active subset, filled lazily.
+    """
 
     points: tuple[RationalPoint, ...]
     tangents: tuple[tuple[Fraction, Fraction], ...]
     parity: ParityClass
+    left: tuple = field(compare=False, repr=False)
+    tangent_side: tuple = field(compare=False, repr=False)
+    lex_order: tuple = field(compare=False, repr=False)
+    hulls: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.points)
+
+    def mask(self, indices=None) -> int:
+        """The bitmask of `indices` (1-based), or of all points."""
+        if not indices:
+            return (1 << (self.m + 1)) - 2
+        out = 0
+        for k in indices:
+            out |= 1 << k
+        return out
 
 
 def validate_admissible(points, tangents, parity: ParityClass) -> AdmissibleConfig:
@@ -78,29 +109,45 @@ def validate_admissible(points, tangents, parity: ParityClass) -> AdmissibleConf
         for j in range(i + 1, m):
             if pts[i] == pts[j]:
                 raise GeometryError(f"duplicate point at indices {i + 1}, {j + 1}")
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                if orient(pts[i], pts[j], pts[k]) == 0:
-                    raise GeometryError(
-                        f"collinear triple ({i + 1}, {j + 1}, {k + 1})"
-                    )
-    for i in range(m):
-        for j in range(m):
+    flat = scale_to_int([c for p in pts for c in (p.x, p.y)])
+    xy = [None] + list(zip(flat[::2], flat[1::2]))  # 1-based
+    left = [[0] * (m + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        xi, yi = xy[i]
+        for j in range(i + 1, m + 1):
+            ux, uy = xy[j][0] - xi, xy[j][1] - yi
+            for k in range(j + 1, m + 1):
+                s = ux * (xy[k][1] - yi) - uy * (xy[k][0] - xi)
+                if s == 0:
+                    raise GeometryError(f"collinear triple ({i}, {j}, {k})")
+                a, b, c = (i, j, k) if s > 0 else (j, i, k)  # (a, b, c) is ccw
+                left[a][b] |= 1 << c
+                left[b][c] |= 1 << a
+                left[c][a] |= 1 << b
+    sides = [(0, 0)]
+    for i in range(1, m + 1):
+        vx, vy = scale_to_int(tans[i - 1])
+        xi, yi = xy[i]
+        pos = neg = 0
+        for j in range(1, m + 1):
             if i == j:
                 continue
-            d = pts[j] - pts[i]
-            if cross(tans[i], d) == 0 and dot(tans[i], d) > 0:
-                raise GeometryError(
-                    f"tangent at point {i + 1} aims at point {j + 1}"
-                )
-    return AdmissibleConfig(pts, tans, parity)
-
-
-def _strictly_inside(p, a, b, c) -> bool:
-    o = orient(a, b, c)
-    return (
-        orient(a, b, p) == o and orient(b, c, p) == o and orient(c, a, p) == o
+            dx, dy = xy[j][0] - xi, xy[j][1] - yi
+            c = dx * vy - dy * vx
+            if c == 0 and vx * dx + vy * dy > 0:
+                raise GeometryError(f"tangent at point {i} aims at point {j}")
+            if c > 0:
+                pos |= 1 << j
+            elif c < 0:
+                neg |= 1 << j
+        sides.append((pos, neg))
+    return AdmissibleConfig(
+        pts,
+        tans,
+        parity,
+        tuple(map(tuple, left)),
+        tuple(sides),
+        tuple(sorted(range(1, m + 1), key=xy.__getitem__)),
     )
 
 
@@ -113,13 +160,12 @@ def is_local_triangle(cfg: AdmissibleConfig, i: int, w: int, j: int, indices=Non
     """
     if len({i, w, j}) != 3:
         raise GeometryError("indices must be distinct")
-    a, b, c = cfg.points[i - 1], cfg.points[w - 1], cfg.points[j - 1]
-    for k in indices or range(1, cfg.m + 1):
-        if k in (i, w, j):
-            continue
-        if _strictly_inside(cfg.points[k - 1], a, b, c):
-            return False
-    return True
+    left = cfg.left
+    if left[i][w] >> j & 1:  # counterclockwise: inside is left of every edge
+        inside = left[i][w] & left[w][j] & left[j][i]
+    else:
+        inside = left[w][i] & left[j][w] & left[i][j]
+    return not inside & cfg.mask(indices)
 
 
 def mu_index(cfg: AdmissibleConfig, z0: int, w: int, z1: int) -> int:
@@ -127,44 +173,40 @@ def mu_index(cfg: AdmissibleConfig, z0: int, w: int, z1: int) -> int:
     (z0, w, z1) at w, signed by orientation; 0 otherwise."""
     if len({z0, w, z1}) != 3:
         raise GeometryError("indices must be distinct")
-    a = cfg.points[z0 - 1]
-    mid = cfg.points[w - 1]
-    b = cfg.points[z1 - 1]
-    v = cfg.tangents[w - 1]
-    o = orient(a, mid, b)
-    if o == 0:
-        raise GeometryError("degenerate triangle (collinear points)")
-    if sign(cross(b - mid, v)) == o and sign(cross(v, a - mid)) == o:
-        return o
-    return 0
+    pos, neg = cfg.tangent_side[w]
+    if cfg.left[z0][w] >> z1 & 1:
+        return 1 if pos >> z1 & 1 and neg >> z0 & 1 else 0
+    return -1 if neg >> z1 & 1 and pos >> z0 & 1 else 0
 
 
 def extremal_points(cfg: AdmissibleConfig, indices=None) -> list:
-    """Indices (1-based) of convex-hull vertices of the configuration, or
-    of the subset `indices` when given.
+    """Indices (1-based, ascending) of convex-hull vertices of the
+    configuration, or of the subset `indices` when given.
 
-    A point is extremal iff no triangle of other points strictly contains
-    it (no boundary cases by admissibility).
+    Gift wrapping over the orientation table, memoised per subset.
     """
-    pool = sorted(indices) if indices else list(range(1, cfg.m + 1))
-    out = []
-    for e in pool:
-        others = [k for k in pool if k != e]
-        inside = False
-        p = cfg.points[e - 1]
-        for ii in range(len(others)):
-            for jj in range(ii + 1, len(others)):
-                for kk in range(jj + 1, len(others)):
-                    if _strictly_inside(
-                        p,
-                        cfg.points[others[ii] - 1],
-                        cfg.points[others[jj] - 1],
-                        cfg.points[others[kk] - 1],
-                    ):
-                        inside = True
-        if not inside:
-            out.append(e)
-    return out
+    pool = cfg.mask(indices)
+    hull = cfg.hulls.get(pool)
+    if hull is None:
+        hull = cfg.hulls[pool] = _gift_wrap(cfg, pool)
+    return list(hull)
+
+
+def _gift_wrap(cfg: AdmissibleConfig, pool: int) -> tuple:
+    members = [k for k in range(1, cfg.m + 1) if pool >> k & 1]
+    if len(members) < 3:
+        return tuple(members)
+    left = cfg.left
+    start = next(k for k in cfg.lex_order if pool >> k & 1)  # lowest-leftmost
+    hull = [start]
+    p = start
+    while True:
+        # the next vertex counterclockwise has no point of the pool on its right
+        q = next(q for q in members if q != p and not left[q][p] & pool)
+        if q == start:
+            return tuple(sorted(hull))
+        hull.append(q)
+        p = q
 
 
 def angular_order(cfg: AdmissibleConfig, e: int, indices=None) -> list:
@@ -172,25 +214,21 @@ def angular_order(cfg: AdmissibleConfig, e: int, indices=None) -> list:
     as seen from the extremal point e.
 
     At a hull vertex the directions span an open half-plane (< pi, since no
-    three points are collinear), so the cross-product comparator is a total
-    order; we return counterclockwise order.
+    three points are collinear), so "b is counterclockwise of a" is a total
+    order; we return counterclockwise order.  It is total exactly when the
+    points have pairwise different numbers of points counterclockwise of
+    them.
     """
-    src = cfg.points[e - 1]
-    idxs = [k for k in (indices or range(1, cfg.m + 1)) if k != e]
-    dirs = {k: cfg.points[k - 1] - src for k in idxs}
-    import functools
-
-    def cmp(a, b):
-        return -sign(cross(dirs[a], dirs[b]))
-
-    out = sorted(idxs, key=functools.cmp_to_key(cmp))
-    # sanity: in an open half-plane, every later direction is strictly
-    # counterclockwise of every earlier one (adjacent checks alone would
-    # miss full-turn spreads)
-    for ii in range(len(out)):
-        for jj in range(ii + 1, len(out)):
-            if sign(cross(dirs[out[ii]], dirs[out[jj]])) <= 0:
+    seen_from_e = cfg.left[e]
+    pool = cfg.mask(indices) & ~(1 << e)
+    n = pool.bit_count()
+    out = [0] * n
+    for a in range(1, cfg.m + 1):
+        if pool >> a & 1:
+            rank = n - 1 - (seen_from_e[a] & pool).bit_count()
+            if out[rank]:
                 raise GeometryError(f"point {e} is not extremal for the subset")
+            out[rank] = a
     return out
 
 

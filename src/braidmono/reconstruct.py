@@ -5,16 +5,15 @@ forward map N -> Q, and the reconstruction Q -> N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+from functools import cmp_to_key
 
 from .words import FreeWord
 from .geometry import (
     AdmissibleConfig,
     GeometryError,
     RationalPoint,
-    cross,
-    sign,
+    scale_to_int,
     validate_admissible,
 )
 from .groupoid import GroupoidWord, StraightLineData, chi_evaluate, validate_Q
@@ -27,12 +26,14 @@ class FanConfiguration:
     which every point is reached by a straight path; points are indexed by
     clockwise angle at z0.
 
-    order[k] is the fan index (1-based) of the k-th input point.
+    order[k] is the fan index (1-based) of the k-th input point; xy holds
+    z0 and then z_1..z_m in integer coordinates (one common scale).
     """
 
     cfg: AdmissibleConfig
     z0: RationalPoint
     order: tuple[int, ...]
+    xy: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -57,80 +58,75 @@ def build_fan_config(points, z0, parity: ParityClass, tangents=None) -> FanConfi
         p if isinstance(p, RationalPoint) else RationalPoint.of(*p) for p in points
     ]
     m = len(pts)
+    flat = scale_to_int([c for p in (z0, *pts) for c in (p.x, p.y)])
+    xy = list(zip(flat[::2], flat[1::2]))
+    bx, by = xy[0]
+    dirs = [(x - bx, y - by) for x, y in xy[1:]]
+    # ccw[i]: how many points lie strictly counterclockwise of point i
+    ccw = [0] * m
     for i in range(m):
-        if pts[i] == z0:
+        if dirs[i] == (0, 0):
             raise GeometryError(f"point {i + 1} coincides with the basepoint")
+        xi, yi = dirs[i]
         for j in range(i + 1, m):
-            if cross(pts[i] - z0, pts[j] - z0) == 0:
+            c = xi * dirs[j][1] - yi * dirs[j][0]
+            if c == 0:
                 raise GeometryError(
                     f"points {i + 1} and {j + 1} are collinear with the basepoint"
                 )
-    # z0 strictly outside the hull: no triangle of points contains it
-    from .geometry import _strictly_inside
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                if _strictly_inside(z0, pts[i], pts[j], pts[k]):
-                    raise GeometryError(
-                        "basepoint lies inside the convex hull of the points"
-                    )
-    # clockwise linear order: directions span < pi, so a single
-    # cross-product comparator totally orders them
-    import functools
-
-    dirs = [p - z0 for p in pts]
-    idx = sorted(
-        range(m),
-        key=functools.cmp_to_key(lambda a, b: sign(cross(dirs[a], dirs[b]))),
-    )
+            ccw[i if c > 0 else j] += 1
+    # z0 is strictly outside the hull iff the view directions lie in an
+    # open half-plane, i.e. some point sees all others counterclockwise
+    if m and max(ccw) < m - 1:
+        raise GeometryError("basepoint lies inside the convex hull of the points")
+    # clockwise linear order: a point's position is its ccw count
+    idx = [0] * m
+    for input_pos, fan_pos in enumerate(ccw):
+        idx[fan_pos] = input_pos
     ordered = [pts[t] for t in idx]
-    tans = [z0 - p for p in ordered]
+    tans = [(z0.x - p.x, z0.y - p.y) for p in ordered]
     cfg = validate_admissible(ordered, tans, parity)
-    order = [0] * m
-    for fan_pos, input_pos in enumerate(idx):
-        order[input_pos] = fan_pos + 1
-    return FanConfiguration(cfg, z0, tuple(order))
+    order = tuple(c + 1 for c in ccw)
+    return FanConfiguration(cfg, z0, order, (xy[0], *(xy[t + 1] for t in idx)))
 
 
 def _anchor_segment(fan: FanConfiguration, i: int, j: int) -> FreeWord:
     """Anchor of the straight generator s(z_i, z_j): traverse the path to
     z_j, the segment z_j -> z_i, and the path from z_i backwards, recording
     ray crossings and endpoint turn sweeps; later letters multiply left."""
-    cfg, z0 = fan.cfg, fan.z0
-    m = cfg.m
-    P = cfg.points
-    zi, zj = P[i - 1], P[j - 1]
+    xy = fan.xy
+    (bx, by), (ix, iy), (jx, jy) = xy[0], xy[i], xy[j]
+    dx, dy = ix - jx, iy - jy  # d = z_i - z_j
     letters: list[tuple[int, int]] = []  # traversal order
     # clockwise sweep at the source crosses z_j's own ray iff the segment
     # leaves on the counterclockwise side of the z0 -> z_j line
-    if cross(z0 - zj, zi - zj) > 0:
+    if (bx - jx) * dy - (by - jy) * dx > 0:
         letters.append((j, -1))
-    d = zi - zj
     hits = []
-    for k in range(1, m + 1):
-        if k in (i, j):
+    for k in range(1, len(xy)):
+        if k == i or k == j:
             continue
-        zk = P[k - 1]
-        r = zk - z0  # ray direction beyond z_k
-        denom = cross(d, r)
-        if denom == 0:
+        kx, ky = xy[k]
+        rx, ry = kx - bx, ky - by  # ray direction beyond z_k
+        den = dx * ry - dy * rx
+        if den == 0:
             continue
-        b = zk - zj
-        s = Fraction(cross(b, r), denom)
-        t = Fraction(cross(b, d), denom)
-        if 0 < s < 1 and t > 0:
-            hits.append((s, k, 1 if cross(d, b) > 0 else -1))
-    hits.sort()
-    letters.extend((k, e) for _, k, e in hits)
+        ex, ey = kx - jx, ky - jy  # z_k - z_j
+        # the segment meets the ray at z_j + (s/den) d = z_k + (t/den) r
+        s = ex * ry - ey * rx
+        t = ex * dy - ey * dx
+        if den < 0:
+            den, s, t = -den, -s, -t
+        if 0 < s < den and t > 0:
+            hits.append((s, den, k, 1 if dx * ey - dy * ex > 0 else -1))
+    # crossing parameters are distinct (no two rays are collinear)
+    hits.sort(key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+    letters.extend((k, e) for _, _, k, e in hits)
     # counterclockwise sweep at the target crosses z_i's ray iff the
     # segment arrives on the clockwise side of the z0 -> z_i line
-    if cross(zj - zi, z0 - zi) < 0:
+    if dy * (bx - ix) - dx * (by - iy) < 0:
         letters.append((i, 1))
-    out = FreeWord.identity(m)
-    for k, e in letters:
-        out = FreeWord.gen(m, k, e) * out
-    return out
+    return FreeWord.make(fan.cfg.m, reversed(letters))
 
 
 def anchor_word(fan: FanConfiguration, w: GroupoidWord) -> AnchorWord:

@@ -130,3 +130,17 @@ def test_cover_example_cmd(capsys):
     assert code == 0
     assert "identities verified" in out
     assert "N(ba):" in out
+
+
+def test_parser_is_shared_between_calls(capsys):
+    from braidmono import cli
+
+    assert cli._parser() is cli._parser()
+    first = run(capsys, "rep", "burau", "--m", "2", "s2")
+    with pytest.raises(SystemExit) as exc:
+        main(["rep", "no-such-rep", "--m", "2", "s2"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    # a rejected call leaves nothing behind for the next one
+    assert run(capsys, "magnus", "--m", "2", "s2")[0] == 0
+    assert run(capsys, "rep", "burau", "--m", "2", "s2") == first
