@@ -38,7 +38,9 @@ from .monodromy import (
     ParityError,
     act_on_N,
     character,
+    character_entry,
     character_transform,
+    cocycle_and_action,
     cover_character,
     cover_example,
     kernel_basis,

@@ -19,12 +19,11 @@ from .braids import linking_numbers
 from .monodromy import (
     IntersectionMatrix,
     ParityClass,
-    act_on_N,
     character,
+    cocycle_and_action,
     cover_example,
     mat_mul,
     mat_transpose,
-    theoremB_S,
     validate_N,
 )
 from .groupoid import chi_evaluate, parse_groupoid_word, validate_Q
@@ -34,6 +33,22 @@ from . import serialize as ser
 
 def _emit(obj) -> None:
     print(ser.dumps(obj))
+
+
+def _printable(cmd: str, name: str, rows):
+    """rows, unless an entry is past the interpreter's limit on converting
+    an int to decimal; then a one-line error naming that entry."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        bound = 10**limit
+        for r, row in enumerate(rows, 1):
+            for c, x in enumerate(row, 1):
+                if abs(x) >= bound:
+                    raise ValueError(
+                        f"{cmd}: {name} entry ({r},{c}) has more than "
+                        f"{limit} decimal digits"
+                    )
+    return rows
 
 
 def _cmd_pl_cocycle(args) -> int:
@@ -62,16 +77,18 @@ def _load_N(args) -> IntersectionMatrix:
 def _cmd_act(args) -> int:
     N = _load_N(args)
     b = parse_braid(args.word, N.m)
-    S = theoremB_S(b, N)
-    out = act_on_N(b, N)
-    _emit({"S": S, "N_out": ser.int_matrix_json(N.parity, out.rows())})
+    S, out = cocycle_and_action(b, N)
+    _emit({
+        "S": _printable("act", "S", S),
+        "N_out": ser.int_matrix_json(N.parity, _printable("act", "N_out", out.rows())),
+    })
     return 0
 
 
 def _cmd_character(args) -> int:
     N = _load_N(args)
     g = parse_word(args.g, N.m)
-    _emit({"matrix": character(N, g)})
+    _emit({"matrix": _printable("character", "matrix", character(N, g))})
     return 0
 
 

@@ -42,20 +42,6 @@ def pl_cocycle(b: BraidWord) -> MonomialGammaMatrix:
     return out
 
 
-def _verify_letter_inverses(m: int = 3) -> None:
-    ident = MonomialGammaMatrix.identity(m)
-    letters = [("s", k) for k in range(2, m + 1)] + [("e", i) for i in range(1, m + 1)]
-    for kind, k in letters:
-        fwd = _cocycle_letter(m, kind, k, 1)
-        bwd = _cocycle_letter(m, kind, k, -1)
-        got = fwd.compose(bwd.act(_letter_word(m, kind, k, 1)))
-        if got != ident:
-            raise AssertionError(f"inverse-letter cocycle value wrong for {kind}{k}")
-
-
-_verify_letter_inverses()
-
-
 def coboundary_transport(sigma: BraidWord, tau: BraidWord) -> MonomialGammaMatrix:
     """S_c(tau)^{-1} · S_c(sigma) · sigma_* S_c(tau)."""
     if sigma.m != tau.m:

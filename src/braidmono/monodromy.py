@@ -2,14 +2,22 @@
 the integer cocycle S(sigma, N) and induced action on N, character
 transforms, integer kernels, and the branched-cover character engine with
 its bundled 3-sheeted example.
+
+Costs, in integer operations on m x m matrices (entries grow with the word,
+so each operation gets dearer): rho and character push rows through
+rank-1 updates, O(|g| m^2); one character entry, as forward_Q needs, is
+one row, O(|g| m); theoremB_S and act_on_N fold the cocycle law over the
+braid letters, O(|sigma| m), without building free-group words.  The
+word-based definitions (S read off pl_cocycle, rho as a product of
+generator matrices) are the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .words import BraidWord, FreeWord, WordError
-from .matrices import MonomialGammaMatrix
 from .cocycles import pl_cocycle
 
 
@@ -100,53 +108,105 @@ def validate_N(parity: ParityClass, rows) -> IntersectionMatrix:
     return IntersectionMatrix(parity, _freeze(rows))
 
 
-def _rho_gen(N: IntersectionMatrix, i: int, inverse: bool):
-    """rho_N(g_i) = I - eps E_i N;  rho_N(g_i^{-1}) = I - sgn*eps E_i N."""
-    m = N.m
-    s = N.parity.eps if not inverse else N.parity.sgn * N.parity.eps
-    out = mat_eye(m)
-    for j in range(m):
-        out[i - 1][j] -= s * N.n[i - 1][j]
+# --- integer kernels: rho, characters and the cocycle fold ------------------
+#
+# rho_N(g_i^{±1}) = I - s E_i N, so multiplying a row vector on the right by
+# it is one rank-1 update: row <- row - s * row[i] * N[i, :].  Every
+# character entry is a row of N pushed through the letters of g.
+
+
+def _steps(N: IntersectionMatrix, g: FreeWord):
+    """(i, s * row i of N) for each letter g_{i+1}^{±1} of g, exponents
+    expanded; s = eps for g_i, sgn*eps for g_i^{-1}."""
+    if g.m != N.m:
+        raise WordError(f"word rank {g.m} vs matrix size {N.m}")
+    par = N.parity
+    out = []
+    for i, e in g.letters:
+        s = par.eps if e > 0 else par.sgn * par.eps
+        out.extend([(i - 1, [s * x for x in N.n[i - 1]])] * abs(e))
     return out
+
+
+def _times_rho(row, steps):
+    """row * rho_N(g) for g given by its steps, in O(|g| m)."""
+    for i, sn in steps:
+        c = row[i]
+        if c:
+            row = [x - c * y for x, y in zip(row, sn)]
+    return row
 
 
 def rho(N: IntersectionMatrix, g: FreeWord):
-    if g.m != N.m:
-        raise WordError(f"word rank {g.m} vs matrix size {N.m}")
-    out = mat_eye(N.m)
-    for i, e in g.letters:
-        base = _rho_gen(N, i, inverse=e < 0)
-        for _ in range(abs(e)):
-            out = mat_mul(out, base)
-    return out
+    """rho_N(g), in O(|g| m^2)."""
+    steps = _steps(N, g)
+    return [_times_rho(row, steps) for row in mat_eye(N.m)]
 
 
 def character(N: IntersectionMatrix, g: FreeWord):
-    """The monodromy character value N * rho_N(g)."""
-    return mat_mul(N.rows(), rho(N, g))
+    """The monodromy character value N * rho_N(g), in O(|g| m^2)."""
+    steps = _steps(N, g)
+    return [_times_rho(list(row), steps) for row in N.n]
+
+
+def character_entry(N: IntersectionMatrix, g: FreeWord, r: int, c: int) -> int:
+    """Entry (r, c), 0-based, of character(N, g), in O(|g| m)."""
+    return _times_rho(N.n[r], _steps(N, g))[c]
+
+
+def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool):
+    """Fold the cocycle law S(uv, N) = S(u, N) S(v, u^*N) letter by letter.
+
+    On one letter S = P + t e_i e_i^T, where P swaps columns i and j
+    (P = I when i = j) and t = -s N[i][j]: column i of S is column j of
+    rho_N(g^{-1}) for the one nontrivial entry g of the letter's monomial
+    cocycle.  With 0-based i, j:
+
+        s_k      i = k-2, j = k-1, s = eps        (entry g_{k-1}^{-1})
+        s_k^-1   i = k-1, j = k-2, s = sgn*eps    (entry g_k)
+        e_k      i = j = k-1,      s = sgn*eps    (entry g_k)
+        e_k^-1   i = j = k-1,      s = eps        (entry g_k^{-1})
+
+    N <- S^T N S and S <- S * S_letter each cost O(m) per letter.  Returns
+    (S, rows of sigma^* N); S is [] unless with_S.
+    """
+    if sigma.m != N.m:
+        raise WordError(f"strand count {sigma.m} vs matrix size {N.m}")
+    par = N.parity
+    rows = N.rows()
+    S = mat_eye(N.m) if with_S else []
+    for kind, k, e in sigma.letters:
+        if kind == "s":
+            i, j = (k - 2, k - 1) if e > 0 else (k - 1, k - 2)
+        else:
+            i = j = k - 1
+        s = par.eps if (kind == "s") == (e > 0) else par.sgn * par.eps
+        t = -s * rows[i][j]
+        # times S_letter on the right: column j takes column i, column i
+        # becomes column j + t * column i
+        for r in chain(rows, S):
+            r[j], r[i] = r[i], r[j] + t * r[i]
+        # times S_letter^T on the left: the same on rows of N
+        rows[j], rows[i] = rows[i], [x + t * y for x, y in zip(rows[j], rows[i])]
+    return S, rows
 
 
 def theoremB_S(sigma: BraidWord, N: IntersectionMatrix):
     """Integer cocycle: column j of S is column pi(j) of rho_N(s_j^{-1}),
-    with (pi, s_j) the monomial cocycle of sigma."""
-    if sigma.m != N.m:
-        raise WordError(f"strand count {sigma.m} vs matrix size {N.m}")
-    mono = pl_cocycle(sigma)
-    m = N.m
-    S = [[0] * m for _ in range(m)]
-    for j in range(m):
-        r = rho(N, mono.entries[j].inverse())
-        col = mono.perm[j] - 1
-        for a in range(m):
-            S[a][j] = r[a][col]
-    return S
+    with (pi, s_j) the monomial cocycle of sigma; computed by a fold over
+    the letters in O(|sigma| m)."""
+    return _fold(sigma, N, with_S=True)[0]
 
 
 def act_on_N(sigma: BraidWord, N: IntersectionMatrix) -> IntersectionMatrix:
     """sigma^* N = S(sigma,N)^T N S(sigma,N); revalidated."""
-    S = theoremB_S(sigma, N)
-    out = mat_mul(mat_transpose(S), mat_mul(N.rows(), S))
-    return validate_N(N.parity, out)
+    return validate_N(N.parity, _fold(sigma, N, with_S=False)[1])
+
+
+def cocycle_and_action(sigma: BraidWord, N: IntersectionMatrix):
+    """(theoremB_S(sigma, N), act_on_N(sigma, N)) from one fold."""
+    S, rows = _fold(sigma, N, with_S=True)
+    return S, validate_N(N.parity, rows)
 
 
 def character_transform(N: IntersectionMatrix, tau: BraidWord, g: FreeWord):
@@ -155,13 +215,17 @@ def character_transform(N: IntersectionMatrix, tau: BraidWord, g: FreeWord):
     if tau.m != N.m or g.m != N.m:
         raise WordError("size mismatch")
     mono = pl_cocycle(tau)
-    m = N.m
-    out = [[0] * m for _ in range(m)]
-    for j in range(m):
-        for l in range(m):
-            x = mono.entries[j] * g * mono.entries[l].inverse()
-            out[j][l] = character(N, x)[mono.perm[j] - 1][mono.perm[l] - 1]
-    return out
+    pi = [p - 1 for p in mono.perm]
+    g_steps = _steps(N, g)
+    # row pi(j) of N rho_N(s_j g), then through rho_N(s_l^{-1})
+    heads = [
+        _times_rho(_times_rho(N.n[pi[j]], _steps(N, s)), g_steps)
+        for j, s in enumerate(mono.entries)
+    ]
+    tails = [_steps(N, s.inverse()) for s in mono.entries]
+    return [
+        [_times_rho(u, tails[l])[pi[l]] for l in range(N.m)] for u in heads
+    ]
 
 
 def kernel_basis(N: IntersectionMatrix):

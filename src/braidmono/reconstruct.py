@@ -17,7 +17,7 @@ from .geometry import (
     validate_admissible,
 )
 from .groupoid import GroupoidWord, StraightLineData, chi_evaluate, validate_Q
-from .monodromy import IntersectionMatrix, ParityClass, character, validate_N
+from .monodromy import IntersectionMatrix, ParityClass, character_entry, validate_N
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,8 @@ def hop_words(fan: FanConfiguration) -> list:
 
 
 def forward_Q(fan: FanConfiguration, N: IntersectionMatrix) -> StraightLineData:
-    """Q(z_i, z_j) = (N rho_N(anchor s(z_i,z_j)))_{ij}; diagonal forced."""
+    """Q(z_i, z_j) = (N rho_N(anchor s(z_i,z_j)))_{ij}; diagonal forced.
+    Each entry pushes one row of N through its anchor, O(|anchor| m)."""
     cfg = fan.cfg
     if N.m != cfg.m:
         raise GeometryError(f"matrix size {N.m} vs {cfg.m} points")
@@ -175,7 +176,7 @@ def forward_Q(fan: FanConfiguration, N: IntersectionMatrix) -> StraightLineData:
             if i == j:
                 continue
             g = _anchor_segment(fan, i, j)
-            rows[i - 1][j - 1] = character(N, g)[i - 1][j - 1]
+            rows[i - 1][j - 1] = character_entry(N, g, i - 1, j - 1)
     return validate_Q(cfg, rows)
 
 

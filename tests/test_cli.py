@@ -94,6 +94,22 @@ def test_act_parity_mismatch(capsys, files):
     assert code == 1
 
 
+def test_outputs_past_digit_limit(capsys, files):
+    # entries of the action grow doubly exponentially in the braid length:
+    # (s2 s3')^11 still prints, (s2 s3')^12 passes 4300 decimal digits
+    _, N = files
+    code, _, _ = run(capsys, "act", "--n-class", "1", "--matrix", N, "s2 s3' " * 11)
+    assert code == 0
+    code, out, err = run(capsys, "act", "--n-class", "1", "--matrix", N, "s2 s3' " * 12)
+    assert code == 1 and out == ""
+    assert err == "error: act: S entry (1,3) has more than 4300 decimal digits\n"
+    # characters grow exponentially in the word length
+    code, out, err = run(capsys, "character", "--n-class", "1", "--matrix", N,
+                         "--g", "g2 g3' " * 4200)
+    assert code == 1 and out == ""
+    assert err == "error: character: matrix entry (1,1) has more than 4300 decimal digits\n"
+
+
 def test_character_cmd(capsys, files):
     _, N = files
     code, out, _ = run(capsys, "character", "--n-class", "1", "--matrix", N, "--g", "1")

@@ -49,6 +49,17 @@ def test_pl_empty_word():
     assert pl_cocycle(parse_braid("", 3)) == MonomialGammaMatrix.identity(3)
 
 
+def test_pl_letter_inverses():
+    # the closed form for inverse letters: a letter next to its inverse,
+    # in either order, has the identity as cocycle value
+    for m in range(2, 6):
+        ident = MonomialGammaMatrix.identity(m)
+        tokens = [f"s{k}" for k in range(2, m + 1)] + [f"e{i}" for i in range(1, m + 1)]
+        for tok in tokens:
+            assert pl_cocycle(parse_braid(f"{tok} {tok}'", m)) == ident, tok
+            assert pl_cocycle(parse_braid(f"{tok}' {tok}", m)) == ident, tok
+
+
 def test_magnus_sigma_generator():
     # block at (i-1, i): [[1 - g_{i-1} g_i^{-1} g_{i-1}^{-1}, 1], [g_{i-1}^{-1}, 0]]
     m = 4
