@@ -9,13 +9,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
 
-from .words import BraidWord, parse_braid, parse_word
-from .cocycles import fox_derivative, magnus_cocycle, pl_cocycle, reduce_reps
-from .groupring import GroupRingElt
-from .braids import linking_numbers
+from .words import parse_braid, parse_word
+from .cocycles import magnus_cocycle, pl_cocycle, reduce_reps
 from .monodromy import (
     IntersectionMatrix,
     ParityClass,
@@ -24,10 +21,10 @@ from .monodromy import (
     cover_example,
     mat_mul,
     mat_transpose,
-    validate_N,
 )
 from .groupoid import chi_evaluate, parse_groupoid_word, validate_Q
-from .reconstruct import build_fan_config, forward_Q, reconstruct_N
+from .geometry import AdmissibleConfig
+from .reconstruct import FanConfiguration, forward_Q, reconstruct_N
 from . import serialize as ser
 
 
@@ -92,15 +89,14 @@ def _cmd_character(args) -> int:
     return 0
 
 
-def _load_Q(config, path):
-    raw = ser.load_int_matrix(path, config.parity if not hasattr(config, "cfg") else config.cfg.parity)
-    cfg = config.cfg if hasattr(config, "cfg") else config
-    return validate_Q(cfg, raw.rows())
+def _load_Q(cfg: AdmissibleConfig, path):
+    return validate_Q(cfg, ser.load_int_matrix(path, cfg.parity).rows())
 
 
 def _cmd_chi(args) -> int:
     config = ser.load_config(args.config)
-    cfg = config.cfg if hasattr(config, "cfg") else config
+    if isinstance(config, FanConfiguration):
+        config = config.cfg
     Q = _load_Q(config, args.q)
     w = parse_groupoid_word(args.word)
     print(chi_evaluate(Q, w))
@@ -117,7 +113,7 @@ def _cmd_forward(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     fan = ser.require_fan(ser.load_config(args.config))
-    Q = _load_Q(fan, args.q)
+    Q = _load_Q(fan.cfg, args.q)
     N = reconstruct_N(fan, Q)
     _emit(ser.int_matrix_json(fan.cfg.parity, N.rows()))
     return 0
@@ -147,91 +143,6 @@ def _cmd_cover_example(args) -> int:
         print("transpose identity N(ba) = N(ab)^T failed", file=sys.stderr)
         return 2
     print("identities verified")
-    return 0
-
-
-def _cmd_selftest(args) -> int:
-    from .words import FreeWord
-    from .braids import braid_permutation
-
-    rng = random.Random(0)
-    m = 4
-
-    def rand_braid(length=6, framed=True):
-        letters = []
-        for _ in range(length):
-            if framed and rng.random() < 0.3:
-                letters.append(("e", rng.randint(1, m), rng.choice((1, -1))))
-            else:
-                letters.append(("s", rng.randint(2, m), rng.choice((1, -1))))
-        return BraidWord(m, tuple(letters))
-
-    def rand_free(length=8):
-        pairs = [(rng.randint(1, m), rng.choice((1, -1))) for _ in range(length)]
-        return FreeWord.make(m, pairs)
-
-    for _ in range(25):
-        u, v = rand_braid(), rand_braid()
-        lhs = pl_cocycle(u * v)
-        rhs = pl_cocycle(u).compose(pl_cocycle(v).act(u))
-        assert lhs == rhs, "monomial cocycle law failed"
-    print("cocycle law: ok")
-
-    for _ in range(25):
-        a = rand_free()
-        total = GroupRingElt.from_int(m, 0)
-        for i in range(1, m + 1):
-            gi = GroupRingElt.from_word(FreeWord.gen(m, i))
-            total = total + fox_derivative(a, i) * (gi - GroupRingElt.one(m))
-        assert total == GroupRingElt.from_word(a) - GroupRingElt.one(m), "fox formula failed"
-    print("fox calculus: ok")
-
-    for _ in range(10):
-        u = rand_braid(length=3, framed=False)
-        b = u
-        while not braid_permutation(b)[1]:
-            b = b * u
-        lk = linking_numbers(b)
-        red = reduce_reps(b, "linking")
-        for i in range(m):
-            for j in range(m):
-                terms = red[i, j].terms
-                if i != j:
-                    assert not terms, "linking reduction not diagonal"
-                else:
-                    (vec,) = terms
-                    assert terms[vec] == 1
-                    for k in range(m):
-                        want = -lk.lk[i][k] if k != i else 0
-                        assert vec[k] == want, "linking exponent mismatch"
-    print("linking: ok")
-
-    for trial in range(6):
-        par = ParityClass(rng.randrange(4))
-        while True:
-            k = rng.randint(2, 4)
-            pts = [(rng.randint(-20, 20), rng.randint(5, 30)) for _ in range(k)]
-            try:
-                fan = build_fan_config(pts, (0, -7), par)
-                break
-            except Exception:
-                continue
-        rows = [[0] * k for _ in range(k)]
-        for i in range(k):
-            rows[i][i] = par.diag
-            for j in range(i + 1, k):
-                v = rng.randint(-3, 3)
-                rows[i][j] = v
-                rows[j][i] = par.sgn * v
-        N = validate_N(par, rows)
-        Q = forward_Q(fan, N)
-        assert reconstruct_N(fan, Q).n == N.n, "roundtrip failed"
-    print("reconstruction roundtrip: ok")
-
-    _, _, out = cover_example()
-    assert mat_transpose(out["ab"]) == out["ba"], "cover example failed"
-    print("cover example: ok")
-    print("selftest passed")
     return 0
 
 
@@ -292,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover-example", help="bundled 3-sheeted cover: print and verify")
     p.set_defaults(fn=_cmd_cover_example)
-
-    p = sub.add_parser("selftest", help="reduced property suite")
-    p.set_defaults(fn=_cmd_selftest)
 
     return ap
 

@@ -1,12 +1,20 @@
 """The path-change (Picard-Lefschetz) cocycle, the Magnus cocycle via Fox
 calculus, their Laurent reductions (Burau, Tong-Yang-Ma, Gassner, linking),
 coboundary transport, and braid-word equality.
+
+reduce_reps never builds the free-group cocycle: it folds the reduced
+cocycle law R(u l) = R(u) * u_#(R(l)) over the letters, with closed-form
+single-letter values, so a braid of L letters costs O(L * m) Laurent
+products.  The word path (abelian_reduce entrywise on magnus_cocycle or
+pl_cocycle) is its test oracle.
 """
 
 from __future__ import annotations
 
+from operator import add
+
 from .words import BraidWord, FreeWord, WordError, braid_act_word
-from .groupring import GroupRingElt, abelian_reduce
+from .groupring import GroupRingElt, LaurentElt
 from .matrices import MonomialGammaMatrix, RingMatrix
 from .braids import braid_permutation
 
@@ -82,31 +90,101 @@ def magnus_cocycle(b: BraidWord) -> RingMatrix:
     )
 
 
-_REPS = ("burau", "tym", "tym_framed", "gassner", "linking")
+# rep -> (source cocycle, Laurent ring, epsilon letters allowed, pure only)
+_REPS = {
+    "burau": ("magnus", "univariate", False, False),
+    "tym": ("pl", "univariate", False, False),
+    "tym_framed": ("pl", "univariate", True, False),
+    "gassner": ("magnus", "multivariate", False, True),
+    "linking": ("pl", "multivariate", False, True),
+}
+
+# Reduced value of sigma_k^e on strands a = k-1, b = k: the identity outside
+# the 2x2 block (X_aa, X_ab, X_ba, X_bb); an entry is a sum of terms
+# (c, p, q) = c * t_a^p * t_b^q.
+#   magnus  s:  [[1 - t_b, 1], [t_a, 0]]    s': [[0, t_b^-1], [1, (t_a - 1) t_b^-1]]
+#   pl      s:  [[0, 1], [t_a, 0]]          s': [[0, t_b^-1], [1, 0]]
+# The pl value of e_i^{+-1} is t_i^{-+1} on the diagonal at i.
+_ONE = ((1, 0, 0),)
+_SIGMA_BLOCKS = {
+    ("magnus", 1): (((1, 0, 0), (-1, 0, 1)), _ONE, ((1, 1, 0),), ()),
+    ("magnus", -1): ((), ((1, 0, -1),), _ONE, ((1, 1, -1), (-1, 0, -1))),
+    ("pl", 1): ((), _ONE, ((1, 1, 0),), ()),
+    ("pl", -1): ((), ((1, 0, -1),), _ONE, ()),
+}
+
+
+def _combine(width, x, y, parts):
+    """Column sum of col * c * t_x^p * t_y^q over (col, terms) in parts.
+
+    A column maps (row, exponent vector) -> nonzero coefficient.
+    """
+    parts = [(col, terms) for col, terms in parts if terms]
+    if len(parts) == 1 and parts[0][1] == _ONE:
+        return parts[0][0]  # columns are never mutated, so they can be shared
+    out: dict = {}
+    for col, terms in parts:
+        for c, p, q in terms:
+            shift = [0] * width
+            shift[x] += p
+            shift[y] += q
+            for (r, v), coef in col.items():
+                key = (r, tuple(map(add, v, shift)))
+                out[key] = out.get(key, 0) + c * coef
+    return {key: coef for key, coef in out.items() if coef}
+
+
+def _fold(b: BraidWord, source: str, multivariate: bool) -> list:
+    """Columns of the reduced cocycle, by R(u l) = R(u) * u_#(R(l)) over the
+    letters l of b.  After abelianization u_* only renames variables,
+    t_i -> t_{pi_u(i)} with pi_u = braid_permutation(u); with one variable
+    it does nothing.  A letter rewrites at most two columns."""
+    m = b.m
+    width = m if multivariate else 1
+    cols = [{(j, (0,) * width): 1} for j in range(m)]
+    var = list(range(m)) if multivariate else [0] * m
+    for kind, k, e in b.letters:
+        if kind == "e":
+            i = k - 1
+            cols[i] = _combine(width, var[i], var[i], [(cols[i], ((1, -e, 0),))])
+            continue
+        a, bb = k - 2, k - 1
+        x_aa, x_ab, x_ba, x_bb = _SIGMA_BLOCKS[source, e]
+        ca, cb = cols[a], cols[bb]
+        x, y = var[a], var[bb]
+        cols[a] = _combine(width, x, y, [(ca, x_aa), (cb, x_ba)])
+        cols[bb] = _combine(width, x, y, [(ca, x_ab), (cb, x_bb)])
+        var[a], var[bb] = y, x
+    return cols
 
 
 def reduce_reps(b: BraidWord, rep: str) -> RingMatrix:
-    """Laurent reduction of the Magnus or path-change cocycle."""
+    """Laurent reduction of the Magnus or path-change cocycle, folded letter
+    by letter; equal to abelian_reduce entrywise on magnus_cocycle(b) or
+    pl_cocycle(b).to_dense()."""
     if rep not in _REPS:
         raise WordError(f"unknown representation {rep!r}")
-    if rep in ("burau", "gassner") and b.is_framed():
+    source, mode, framed_ok, needs_pure = _REPS[rep]
+    if not framed_ok and b.is_framed():
         raise WordError(f"{rep} requires a braid word without epsilon letters")
-    if rep == "tym" and b.is_framed():
-        raise WordError("tym requires a braid word without epsilon letters")
-    if rep in ("gassner", "linking"):
-        if b.is_framed():
-            raise WordError(f"{rep} requires a braid word without epsilon letters")
-        _, pure = braid_permutation(b)
-        if not pure:
-            raise WordError(f"{rep} requires a pure braid word")
-    mode = "univariate" if rep in ("burau", "tym", "tym_framed") else "multivariate"
-    if rep in ("burau", "gassner"):
-        dense = magnus_cocycle(b)
-    else:
-        dense = pl_cocycle(b).to_dense()
-    return RingMatrix.from_fn(
-        b.m, lambda i, j: abelian_reduce(dense[i, j], mode)
-    )
+    if needs_pure and not braid_permutation(b)[1]:
+        raise WordError(f"{rep} requires a pure braid word")
+    multivariate = mode == "multivariate"
+    rows = [[{} for _ in range(b.m)] for _ in range(b.m)]
+    monos: dict = {}  # one key object per exponent vector, shared by all entries
+    for j, col in enumerate(_fold(b, source, multivariate)):
+        for (r, v), coef in col.items():
+            rows[r][j][monos.setdefault(v, v)] = coef
+    nvars = b.m if multivariate else 0
+    entries: dict = {}  # equal entries share one object, which keeps outputs small
+
+    def entry(terms):
+        key = frozenset(terms.items())
+        if key not in entries:
+            entries[key] = LaurentElt(nvars, terms)
+        return entries[key]
+
+    return RingMatrix([[entry(terms) for terms in row] for row in rows])
 
 
 def braid_equal(w1: BraidWord, w2: BraidWord) -> bool:

@@ -6,6 +6,7 @@ with optional basepoint, and string rendering of ring-valued matrices.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .geometry import AdmissibleConfig, GeometryError, validate_admissible
@@ -31,6 +32,35 @@ def rational_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def _too_many_digits(source: str) -> SerializeError:
+    return SerializeError(
+        f"{source}: an integer entry exceeds the interpreter's "
+        f"{sys.get_int_max_str_digits()}-digit limit"
+    )
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:
+            # json raises a bare ValueError only from int() on an integer
+            # literal past the interpreter's limit on decimal conversion
+            raise _too_many_digits(path) from None
+
+
+def _to_int(x, source: str) -> int:
+    try:
+        return int(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and isinstance(x, str) and len(x.strip().lstrip("+-")) > limit:
+            raise _too_many_digits(source) from None
+        raise
+
+
 def _parse_point(item):
     if not isinstance(item, (list, tuple)) or len(item) != 2:
         raise SerializeError(f"point must be a [x, y] pair, got {item!r}")
@@ -51,8 +81,7 @@ def load_config(obj):
     AdmissibleConfig.  One of the two is required.
     """
     if isinstance(obj, str):
-        with open(obj) as fh:
-            obj = json.load(fh)
+        obj = _read_json(obj)
     parity = parse_parity(obj)
     points = [_parse_point(p) for p in obj.get("points", [])]
     if not points:
@@ -93,9 +122,9 @@ def config_json(config) -> dict:
 
 def load_int_matrix(obj, expect_parity: ParityClass | None = None) -> IntersectionMatrix:
     """Parse {"n_class": k, "matrix": [[int]]}, validating the parity laws."""
+    source = "matrix"
     if isinstance(obj, str):
-        with open(obj) as fh:
-            obj = json.load(fh)
+        source, obj = obj, _read_json(obj)
     parity = parse_parity(obj)
     if expect_parity is not None and parity != expect_parity:
         raise SerializeError(
@@ -104,7 +133,7 @@ def load_int_matrix(obj, expect_parity: ParityClass | None = None) -> Intersecti
     rows = obj.get("matrix")
     if not isinstance(rows, list):
         raise SerializeError('missing "matrix" field')
-    return validate_N(parity, [[int(x) for x in r] for r in rows])
+    return validate_N(parity, [[_to_int(x, source) for x in r] for r in rows])
 
 
 def int_matrix_json(parity: ParityClass, rows) -> dict:

@@ -137,7 +137,10 @@ def format_word(w: FreeWord) -> str:
     return " ".join(_fmt("g", i, e) for i, e in w.letters)
 
 
-@dataclass(frozen=True)
+_LETTERS: dict = {}  # canonical braid letters: 4m - 2 of them for up to m strands
+
+
+@dataclass(frozen=True, slots=True)
 class BraidWord:
     """Word in the framed braid group on m strands.
 
@@ -150,6 +153,8 @@ class BraidWord:
 
     def __post_init__(self):
         for kind, i, e in self.letters:
+            if type(i) is not int:
+                raise WordError(f"braid letter index {i!r} is not an int")
             if kind == "s":
                 if not 2 <= i <= self.m:
                     raise WordError(f"sigma index {i} out of range 2..{self.m}")
@@ -158,8 +163,12 @@ class BraidWord:
                     raise WordError(f"epsilon index {i} out of range 1..{self.m}")
             else:
                 raise WordError(f"unknown braid letter kind {kind!r}")
-            if e not in (1, -1):
+            if e not in (1, -1) or type(e) is not int:
                 raise WordError("braid letters carry exponent ±1")
+        # one shared object per distinct letter: a stored word then costs a
+        # pointer per letter, not a tuple
+        letters = self.letters
+        object.__setattr__(self, "letters", tuple(map(_LETTERS.setdefault, letters, letters)))
 
     @staticmethod
     def identity(m: int) -> "BraidWord":

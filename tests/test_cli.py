@@ -130,6 +130,30 @@ def test_forward_reconstruct_chi_pipeline(capsys, tmp_path, files):
     int(out)  # a bare integer
 
 
+def test_chi_takes_either_config(capsys, tmp_path, files):
+    from braidmono.serialize import config_json, load_config
+
+    cfg, N = files
+    code, out, _ = run(capsys, "forward", "--config", cfg, "--matrix", N)
+    q = write(tmp_path, "Q.json", json.loads(out))
+    tangents = write(tmp_path, "tan.json", config_json(load_config(cfg).cfg))
+    for word in ("1:0,2:0", "3:1,1:-2,2:0"):
+        via_fan = run(capsys, "chi", "--config", cfg, "--q", q, "--word", word)
+        assert via_fan[0] == 0
+        assert run(capsys, "chi", "--config", tangents, "--q", q, "--word", word) == via_fan
+
+
+def test_matrix_entry_past_digit_limit(capsys, tmp_path):
+    big = tmp_path / "big.json"
+    for entry in ("1" * 4401, '"' + "1" * 4401 + '"'):  # a JSON number or a string
+        big.write_text('{"n_class": 1, "matrix": [[0, ' + entry + "], [-1, 0]]}")
+        code, out, err = run(capsys, "act", "--n-class", "1", "--matrix", str(big), "s2")
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: {big}: an integer entry exceeds the interpreter's 4300-digit limit\n"
+        )
+
+
 def test_chi_rejects_bad_word(capsys, files):
     cfg, N = files
     code, _, err = run(capsys, "chi", "--config", cfg, "--q", N, "--word", "1:0,9:0")

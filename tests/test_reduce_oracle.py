@@ -1,0 +1,103 @@
+"""The Laurent cocycle fold in reduce_reps against the word path.
+
+The reference below is the paper-shaped computation: the full free-group
+cocycle (magnus_cocycle through Fox calculus, or the monomial pl_cocycle),
+abelianized entrywise by abelian_reduce.  The fold (the reduced cocycle law
+R(u l) = R(u) * u_#(R(l)) with closed-form letter values) must agree with it
+at exact equality, errors included.
+"""
+
+import random
+
+import pytest
+
+from braidmono import (
+    BraidWord,
+    RingMatrix,
+    WordError,
+    abelian_reduce,
+    braid_permutation,
+    magnus_cocycle,
+    pl_cocycle,
+    reduce_reps,
+)
+from conftest import rand_braid
+
+REPS = ("burau", "tym", "tym_framed", "gassner", "linking")
+PURE = ("gassner", "linking")
+
+
+# --- word-path reference ---------------------------------------------------
+
+def ref_reduce(b, rep):
+    mode = "univariate" if rep in ("burau", "tym", "tym_framed") else "multivariate"
+    dense = magnus_cocycle(b) if rep in ("burau", "gassner") else pl_cocycle(b).to_dense()
+    return RingMatrix.from_fn(b.m, lambda i, j: abelian_reduce(dense[i, j], mode))
+
+
+def check(b, rep):
+    assert reduce_reps(b, rep) == ref_reduce(b, rep), (rep, str(b))
+
+
+def letters(m, framed):
+    out = [("s", k, e) for k in range(2, m + 1) for e in (1, -1)]
+    if framed:
+        out += [("e", i, e) for i in range(1, m + 1) for e in (1, -1)]
+    return out
+
+
+def pure_power(u):
+    b = u
+    while not braid_permutation(b)[1]:
+        b = b * u
+    return b
+
+
+# --- fold against reference -------------------------------------------------
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_single_letters_and_empty_word(m):
+    for rep in REPS:
+        check(BraidWord.identity(m), rep)
+        for letter in letters(m, framed=rep == "tym_framed"):
+            b = BraidWord(m, (letter,))
+            if rep in PURE:
+                b = b * b if letter[0] == "s" else b  # sigma^2 is pure
+            check(b, rep)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_random_words(m):
+    rng = random.Random(4000 + m)
+    for _ in range(8):
+        for rep in ("burau", "tym", "tym_framed"):
+            b = rand_braid(rng, m, rng.randint(1, 12), framed=rep == "tym_framed")
+            check(b, rep)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_pure_braids(m):
+    rng = random.Random(5000 + m)
+    for _ in range(6):
+        b = pure_power(rand_braid(rng, m, rng.randint(1, 4 if m < 5 else 3), framed=False))
+        for rep in REPS:
+            check(b, rep)
+
+
+# --- errors -----------------------------------------------------------------
+
+def test_error_messages():
+    framed = BraidWord(3, (("e", 1, 1),))
+    for rep in ("burau", "tym", "gassner", "linking"):
+        with pytest.raises(WordError) as exc:
+            reduce_reps(framed, rep)
+        assert str(exc.value) == f"{rep} requires a braid word without epsilon letters"
+    for rep in PURE:
+        with pytest.raises(WordError) as exc:
+            reduce_reps(BraidWord(3, (("s", 2, 1),)), rep)
+        assert str(exc.value) == f"{rep} requires a pure braid word"
+    with pytest.raises(WordError) as exc:
+        reduce_reps(framed, "nonsense")
+    assert str(exc.value) == "unknown representation 'nonsense'"
+    # tym_framed takes framed and unframed words alike
+    check(framed, "tym_framed")

@@ -69,6 +69,28 @@ def test_braid_word_validation():
         BraidWord(3, (("s", 2, 2),))
 
 
+def test_braid_letters_must_be_ints():
+    # interned letters are shared by value, so 2.0 or True must not pass for 2 or 1
+    for letter in (("s", 2.0, 1), ("e", True, 1), ("s", 2, True), ("s", 2, 1.0)):
+        with pytest.raises(WordError):
+            BraidWord(3, (letter,))
+
+
+def test_braid_letters_are_interned():
+    def fresh():  # new letter tuples on every call
+        return tuple((k, i, e) for k, i, e in
+                     [("s", 2, 1), ("e", 3, -1), ("s", 3, -1), ("s", 2, 1)])
+
+    raw = fresh()
+    u, v = BraidWord(3, fresh()), BraidWord(3, list(fresh()))
+    assert all(a is b for a, b in zip(u.letters, v.letters))
+    assert u.letters[0] is u.letters[3]
+    assert u.letters == raw and hash(u.letters) == hash(raw)
+    assert u == v == BraidWord(3, raw) and hash(u) == hash(BraidWord(3, raw))
+    assert repr(u) == "BraidWord(3, \"s2 e3' s3' s2\")"
+    assert (u * v).letters[4] is u.letters[0]
+
+
 def test_parse_braid_expands_powers():
     b = parse_braid("s2^3 e1'", 3)
     assert b.letters == (("s", 2, 1),) * 3 + (("e", 1, -1),)
