@@ -90,7 +90,7 @@ def _cmd_character(args) -> int:
 
 
 def _load_Q(cfg: AdmissibleConfig, path):
-    return validate_Q(cfg, ser.load_int_matrix(path, cfg.parity).rows())
+    return validate_Q(cfg, ser.load_int_matrix(path, cfg.parity))
 
 
 def _cmd_chi(args) -> int:

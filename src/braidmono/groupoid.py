@@ -26,6 +26,7 @@ from .geometry import (
     is_local_triangle,
     mu_index,
 )
+from .monodromy import IntersectionMatrix, ParityError, validate_N
 
 
 class GroupoidError(ValueError):
@@ -93,22 +94,18 @@ class StraightLineData:
 
 
 def validate_Q(cfg: AdmissibleConfig, rows) -> StraightLineData:
-    rows = [list(r) for r in rows]
-    m = cfg.m
-    if len(rows) != m or any(len(r) != m for r in rows):
-        raise GroupoidError(f"Q must be {m}x{m}")
-    sgn, diag = cfg.parity.sgn, cfg.parity.diag
-    for i in range(m):
-        if rows[i][i] != diag:
-            raise GroupoidError(
-                f"Q diagonal ({i + 1},{i + 1}) = {rows[i][i]}, must be {diag}"
-            )
-        for j in range(m):
-            if rows[i][j] != sgn * rows[j][i]:
-                raise GroupoidError(
-                    f"Q symmetry violated at ({i + 1},{j + 1})"
-                )
-    return StraightLineData(cfg, tuple(tuple(r) for r in rows))
+    """Q over cfg: an m x m matrix with the parity laws of validate_N.  An
+    IntersectionMatrix of cfg's parity class has passed them already."""
+    if not isinstance(rows, IntersectionMatrix):
+        try:
+            rows = validate_N(cfg.parity, rows)
+        except ParityError as exc:
+            raise GroupoidError(f"Q: {exc}") from None
+    elif rows.parity != cfg.parity:
+        raise GroupoidError("Q: parity class mismatch with the configuration")
+    if rows.m != cfg.m:
+        raise GroupoidError(f"Q must be {cfg.m}x{cfg.m}")
+    return StraightLineData(cfg, rows.n)
 
 
 # --- relation rewrites (also used by the well-definedness tests) -----------
@@ -291,11 +288,24 @@ def chi_evaluate(
     """Evaluate chi^Q on a groupoid word.
 
     rng, when given, randomizes the internal extremal-point choices (the
-    result must not depend on them); max_steps bounds the recursion.
+    result must not depend on them); max_steps bounds the recursion.  A
+    twist too large for the interpreter's recursion limit raises
+    GroupoidError naming its point.
     """
     cfg = data.cfg
     for z in w.points:
         if not 1 <= z <= cfg.m:
             raise GroupoidError(f"point index {z} out of range 1..{cfg.m}")
     active = tuple(range(1, cfg.m + 1))
-    return _Evaluator(data, rng, max_steps).ev(active, w.points, w.exps)
+    try:
+        return _Evaluator(data, rng, max_steps).ev(active, w.points, w.exps)
+    except RecursionError:
+        # each unit of an interior twist is one level of _split; boundary
+        # twists are stripped without recursion
+        e, z = max(
+            ((abs(e), z) for z, e in zip(w.points[1:-1], w.exps[1:-1])),
+            default=(0, w.target),
+        )
+        raise GroupoidError(
+            f"chi evaluation recursed too deep: point {z} carries a twist of {e}"
+        ) from None

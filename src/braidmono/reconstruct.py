@@ -1,6 +1,13 @@
 """Fan configurations (straight paths from a basepoint), the ray-crossing
 compiler from groupoid words to free-group anchor words, hop words, the
 forward map N -> Q, and the reconstruction Q -> N.
+
+In the fan order forward_Q is unimodular and triangular: Q_ij, i < j, is
+-sgn N_ij plus a polynomial in the entries N_ab with i <= a < b <= j,
+(a, b) != (i, j).  reconstruct_N inverts it entry by entry with one row
+push each, O(m^4) integer operations at worst and no chi^Q evaluation.
+The paper's telescoping n_ij = chi^Q(c_i c_j^{-1}) along the hop words
+is the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from .geometry import (
     scale_to_int,
     validate_admissible,
 )
-from .groupoid import GroupoidWord, StraightLineData, chi_evaluate, validate_Q
+from .groupoid import GroupoidWord, StraightLineData, validate_Q
 from .monodromy import IntersectionMatrix, ParityClass, character_entry, validate_N
 
 
@@ -181,23 +188,49 @@ def forward_Q(fan: FanConfiguration, N: IntersectionMatrix) -> StraightLineData:
 
 
 def reconstruct_N(fan: FanConfiguration, Q: StraightLineData) -> IntersectionMatrix:
-    """Recover N from straight-line data: n_{ij} = chi^Q(c_i c_j^{-1}),
-    realized by telescoping the hop words."""
+    """Recover N from straight-line data by a triangular solve of forward_Q.
+
+    For i < j in the fan order the anchor of s(z_i, z_j) is g_i followed by
+    letters g_k^{±1} with i < k < j only: the segment stays inside the wedge
+    between the rays to z_i and z_j.  Pushing row i of N through it, the
+    first step scales the row by 1 - eps*diag = -sgn and no later step reads
+    column j, so
+
+        Q_ij = -sgn N_ij + R_ij,
+
+    with R_ij a function of the N_ab, i <= a < b <= j, (a, b) != (i, j).
+    Filling N for j ascending and, inside that, i descending, every such
+    N_ab is known when (i, j) comes up: push columns i..j of row i, with
+    N_ij held at 0, to get R_ij, and set N_ij = sgn (R_ij - Q_ij).  One
+    push costs O(|anchor| (j - i)); no chi^Q evaluation is made.
+    """
     cfg = fan.cfg
     if Q.cfg is not cfg and Q.cfg != cfg:
         raise GeometryError("Q is not indexed by this fan configuration")
     m = cfg.m
     parity = cfg.parity
-    hops = hop_words(fan)
+    sgn, eps = parity.sgn, parity.eps
     rows = [[0] * m for _ in range(m)]
     for i in range(m):
         rows[i][i] = parity.diag
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            word = hops[i - 1]
-            for t in range(i, j - 1):
-                word = word.compose(hops[t])
-            val = chi_evaluate(Q, word)
-            rows[i - 1][j - 1] = val
-            rows[j - 1][i - 1] = parity.sgn * val
+    for j in range(1, m):  # 0-based from here on
+        for i in range(j - 1, -1, -1):
+            head, *rest = _anchor_segment(fan, i + 1, j + 1).letters
+            if head != (i + 1, 1) or not all(i + 1 < k < j + 1 for k, _ in rest):
+                raise AssertionError(
+                    f"anchor of s({i + 1},{j + 1}) leaves the fan interval"
+                )
+            row = [-sgn * x for x in rows[i][i : j + 1]]  # after the g_i step
+            for k, e in rest:
+                s = eps if e > 0 else sgn * eps
+                for _ in range(abs(e)):
+                    c = row[k - 1 - i]
+                    if c:
+                        row = [
+                            x - s * c * y
+                            for x, y in zip(row, rows[k - 1][i : j + 1])
+                        ]
+            val = sgn * (row[-1] - Q.q[i][j])
+            rows[i][j] = val
+            rows[j][i] = sgn * val
     return validate_N(parity, rows)

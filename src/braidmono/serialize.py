@@ -20,11 +20,21 @@ class SerializeError(ValueError):
     pass
 
 
+def _excerpt(x) -> str:
+    """repr(x), cut to a short prefix and its length when it is long."""
+    r = repr(x)
+    return r if len(r) <= 32 else f"{r[:24]}... ({len(r)} chars)"
+
+
 def parse_rational(s) -> Fraction:
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SerializeError(f"bad rational {s!r}: {exc}") from None
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except (ValueError, TypeError) as exc:
+        # Fraction's own message may echo the whole token
+        reason = "not a rational number" if repr(s) in str(exc) else str(exc)
+    raise SerializeError(f"bad rational {_excerpt(s)}: {reason}")
 
 
 def rational_str(x: Fraction) -> str:
@@ -52,25 +62,49 @@ def _read_json(path: str):
 
 
 def _to_int(x, source: str) -> int:
-    try:
-        return int(x)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        if limit and isinstance(x, str) and len(x.strip().lstrip("+-")) > limit:
-            raise _too_many_digits(source) from None
-        raise
+    """An int from a JSON integer, an integral float or a decimal string."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if isinstance(x, (int, str)):
+        try:
+            return int(x)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if limit and isinstance(x, str) and len(x.strip().lstrip("+-")) > limit:
+                raise _too_many_digits(source) from None
+    raise SerializeError(f"{source}: {_excerpt(x)} is not an integer")
 
 
-def _parse_point(item):
+def _object(obj, what: str):
+    """(source, JSON object) for a file path or an already parsed value."""
+    source = what
+    if isinstance(obj, str):
+        source, obj = obj, _read_json(obj)
+    if not isinstance(obj, dict):
+        raise SerializeError(f"{source}: top-level JSON value must be an object")
+    return source, obj
+
+
+def _rows(obj: dict, key: str, source: str) -> list:
+    """obj[key], checked to be a list of lists."""
+    rows = obj[key]
+    if not isinstance(rows, list) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise SerializeError(f'{source}: "{key}" must be a list of lists')
+    return rows
+
+
+def _parse_point(item, source: str):
     if not isinstance(item, (list, tuple)) or len(item) != 2:
-        raise SerializeError(f"point must be a [x, y] pair, got {item!r}")
+        raise SerializeError(
+            f"{source}: point must be a [x, y] pair, got {_excerpt(item)}"
+        )
     return parse_rational(item[0]), parse_rational(item[1])
 
 
-def parse_parity(obj) -> ParityClass:
+def parse_parity(obj: dict, source: str) -> ParityClass:
     if "n_class" not in obj:
-        raise SerializeError('missing "n_class" field')
-    return ParityClass(int(obj["n_class"]))
+        raise SerializeError(f'{source}: missing "n_class" field')
+    return ParityClass(_to_int(obj["n_class"], source))
 
 
 def load_config(obj):
@@ -80,21 +114,20 @@ def load_config(obj):
     the basepoint and must not also be given); with "tangents" ->
     AdmissibleConfig.  One of the two is required.
     """
-    if isinstance(obj, str):
-        obj = _read_json(obj)
-    parity = parse_parity(obj)
-    points = [_parse_point(p) for p in obj.get("points", [])]
-    if not points:
-        raise SerializeError('missing or empty "points"')
+    source, obj = _object(obj, "config")
+    parity = parse_parity(obj, source)
+    if not obj.get("points"):
+        raise SerializeError(f'{source}: missing or empty "points"')
+    points = [_parse_point(p, source) for p in _rows(obj, "points", source)]
     if "basepoint" in obj:
         if obj.get("tangents") is not None:
-            raise SerializeError("give either basepoint or tangents, not both")
-        z0 = _parse_point(obj["basepoint"])
+            raise SerializeError(f"{source}: give either basepoint or tangents, not both")
+        z0 = _parse_point(obj["basepoint"], source)
         return build_fan_config(points, z0, parity)
     if "tangents" in obj:
-        tans = [_parse_point(v) for v in obj["tangents"]]
+        tans = [_parse_point(v, source) for v in _rows(obj, "tangents", source)]
         return validate_admissible(points, tans, parity)
-    raise SerializeError('config needs a "basepoint" or "tangents" field')
+    raise SerializeError(f'{source}: config needs a "basepoint" or "tangents" field')
 
 
 def require_fan(config) -> FanConfiguration:
@@ -122,17 +155,15 @@ def config_json(config) -> dict:
 
 def load_int_matrix(obj, expect_parity: ParityClass | None = None) -> IntersectionMatrix:
     """Parse {"n_class": k, "matrix": [[int]]}, validating the parity laws."""
-    source = "matrix"
-    if isinstance(obj, str):
-        source, obj = obj, _read_json(obj)
-    parity = parse_parity(obj)
+    source, obj = _object(obj, "matrix")
+    parity = parse_parity(obj, source)
     if expect_parity is not None and parity != expect_parity:
         raise SerializeError(
-            f"matrix n_class {parity.n_mod_4} != expected {expect_parity.n_mod_4}"
+            f"{source}: n_class {parity.n_mod_4} != expected {expect_parity.n_mod_4}"
         )
-    rows = obj.get("matrix")
-    if not isinstance(rows, list):
-        raise SerializeError('missing "matrix" field')
+    if "matrix" not in obj:
+        raise SerializeError(f'{source}: missing "matrix" field')
+    rows = _rows(obj, "matrix", source)
     return validate_N(parity, [[_to_int(x, source) for x in r] for r in rows])
 
 

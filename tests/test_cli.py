@@ -184,3 +184,60 @@ def test_parser_is_shared_between_calls(capsys):
     # a rejected call leaves nothing behind for the next one
     assert run(capsys, "magnus", "--m", "2", "s2")[0] == 0
     assert run(capsys, "rep", "burau", "--m", "2", "s2") == first
+
+
+def one_line_error(code, out, err):
+    return code == 1 and out == "" and err.count("\n") == 1 and "Traceback" not in err
+
+
+MALFORMED = {
+    "ragged": {"n_class": 1, "matrix": [[0, 1], 5]},
+    "scalar": 5,
+    "points": {"n_class": 1, "points": 5, "basepoint": ["0", "-1"]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    "act --n-class 1 --matrix {ragged} s2",
+    "act --n-class 1 --matrix {scalar} s2",
+    "forward --config {scalar} --matrix {N}",
+    "forward --config {cfg} --matrix {scalar}",
+    "forward --config {points} --matrix {N}",
+    "reconstruct --config {points} --q {N}",
+    "reconstruct --config {cfg} --q {ragged}",
+    "chi --config {cfg} --q {scalar} --word 1:0,2:0",
+])
+def test_malformed_json_shapes(capsys, tmp_path, files, argv):
+    cfg, N = files
+    paths = {k: write(tmp_path, f"{k}.json", v) for k, v in MALFORMED.items()}
+    code, out, err = run(capsys, *argv.format(cfg=cfg, N=N, **paths).split())
+    assert one_line_error(code, out, err), err
+    assert any(path in err for path in paths.values())
+
+
+def test_non_integer_matrix_entries(capsys, tmp_path):
+    for entry in (1.5, [1], None, "x"):
+        bad = write(tmp_path, "bad.json", {"n_class": 1, "matrix": [[0, entry], [-1, 0]]})
+        code, out, err = run(capsys, "act", "--n-class", "1", "--matrix", bad, "s2")
+        assert one_line_error(code, out, err), err
+        assert err.startswith(f"error: {bad}: ")
+
+
+def test_long_bad_token_is_cut(capsys, tmp_path):
+    cfg = write(tmp_path, "cfg.json", {
+        "n_class": 1, "points": [["-2", "4"], ["0", "5"]],
+        "basepoint": ["1" * 4401, "-1"],
+    })
+    N = write(tmp_path, "N.json", {"n_class": 1, "matrix": [[0, 1], [-1, 0]]})
+    code, out, err = run(capsys, "forward", "--config", cfg, "--matrix", N)
+    assert one_line_error(code, out, err)
+    assert len(err) < 300 and "(4403 chars)" in err
+
+
+def test_chi_deep_twist_is_one_line(capsys, tmp_path, files):
+    cfg, N = files
+    code, out, _ = run(capsys, "forward", "--config", cfg, "--matrix", N)
+    q = write(tmp_path, "Q.json", json.loads(out))
+    code, out, err = run(capsys, "chi", "--config", cfg, "--q", q, "--word", "1:0,2:500,3:0")
+    assert one_line_error(code, out, err), err
+    assert "point 2" in err

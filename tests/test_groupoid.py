@@ -12,6 +12,7 @@ from braidmono import (
     parse_groupoid_word,
     rel1_insert,
     rel2_rewrite,
+    validate_N,
     validate_Q,
 )
 from conftest import rand_N, rand_fan, rand_groupoid_points
@@ -74,6 +75,16 @@ def test_validate_Q(rng):
         validate_Q(fan0.cfg, [[0, 1], [1, 0]])  # diagonal must be 2
     fan2b = rand_fan(rng, ParityClass(2), 2, 2)
     validate_Q(fan2b.cfg, [[-2, 1], [1, -2]])
+
+
+def test_validate_Q_takes_a_checked_matrix(rng):
+    fan2 = rand_fan(rng, ParityClass(1), 2, 2)
+    N = validate_N(ParityClass(1), [[0, 3], [-3, 0]])
+    assert validate_Q(fan2.cfg, N).q == N.n
+    with pytest.raises(GroupoidError):
+        validate_Q(fan2.cfg, validate_N(ParityClass(3), [[0, 3], [-3, 0]]))
+    with pytest.raises(GroupoidError):
+        validate_Q(fan2.cfg, validate_N(ParityClass(1), [[0]]))
 
 
 # --- evaluator base cases ---------------------------------------------------

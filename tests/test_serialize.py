@@ -27,6 +27,17 @@ def test_rational_roundtrip():
         parse_rational("x")
     with pytest.raises(SerializeError):
         parse_rational("1/0")
+    with pytest.raises(SerializeError):
+        parse_rational([1])
+
+
+def test_bad_rational_message_is_short():
+    for token in ("1" * 4401, "x" * 5000):
+        with pytest.raises(SerializeError) as exc:
+            parse_rational(token)
+        msg = str(exc.value)
+        assert len(msg) < 200 and f"({len(token) + 2} chars)" in msg
+        assert token[:40] not in msg
 
 
 def test_load_config_fan():
