@@ -18,8 +18,6 @@ from .groupring import (
     GroupRingElt,
     LaurentElt,
     abelian_reduce,
-    format_laurent,
-    format_ring_elt,
 )
 from .matrices import MatrixError, MonomialGammaMatrix, RingMatrix
 from .braids import LinkingMatrix, Permutation, braid_permutation, linking_numbers
@@ -38,7 +36,6 @@ from .monodromy import (
     ParityError,
     act_on_N,
     character,
-    character_entry,
     character_transform,
     cocycle_and_action,
     cover_character,

@@ -5,10 +5,9 @@ its bundled 3-sheeted example.
 
 Costs, in integer operations on m x m matrices (entries grow with the word,
 so each operation gets dearer): rho and character push rows through
-rank-1 updates, O(|g| m^2); one character entry, as forward_Q needs, is
-one row, O(|g| m); theoremB_S and act_on_N fold the cocycle law over the
-braid letters, O(|sigma| m), without building free-group words.  The
-word-based definitions (S read off pl_cocycle, rho as a product of
+rank-1 updates, O(|g| m^2); theoremB_S and act_on_N fold the cocycle law
+over the braid letters, O(|sigma| m), without building free-group words.
+The word-based definitions (S read off pl_cocycle, rho as a product of
 generator matrices) are the reference the tests compare against.
 """
 
@@ -147,11 +146,6 @@ def character(N: IntersectionMatrix, g: FreeWord):
     """The monodromy character value N * rho_N(g), in O(|g| m^2)."""
     steps = _steps(N, g)
     return [_times_rho(list(row), steps) for row in N.n]
-
-
-def character_entry(N: IntersectionMatrix, g: FreeWord, r: int, c: int) -> int:
-    """Entry (r, c), 0-based, of character(N, g), in O(|g| m)."""
-    return _times_rho(N.n[r], _steps(N, g))[c]
 
 
 def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool):

@@ -2,12 +2,14 @@
 compiler from groupoid words to free-group anchor words, hop words, the
 forward map N -> Q, and the reconstruction Q -> N.
 
-In the fan order forward_Q is unimodular and triangular: Q_ij, i < j, is
--sgn N_ij plus a polynomial in the entries N_ab with i <= a < b <= j,
-(a, b) != (i, j).  reconstruct_N inverts it entry by entry with one row
-push each, O(m^4) integer operations at worst and no chi^Q evaluation.
-The paper's telescoping n_ij = chi^Q(c_i c_j^{-1}) along the hop words
-is the reference the tests compare against.
+Both maps are one interval push per entry i < j: row i of N through the
+anchor of s(z_i, z_j), reading columns i..j only, O(m^4) integer
+operations at worst.  In the fan order forward_Q is unimodular and
+triangular: Q_ij is -sgn N_ij plus a polynomial in the entries N_ab with
+i <= a < b <= j, (a, b) != (i, j), and reconstruct_N inverts it entry by
+entry, with no chi^Q evaluation.  The tests compare against the paper's
+definitions: full character matrices for Q, and the telescoping
+n_ij = chi^Q(c_i c_j^{-1}) along the hop words for N.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .geometry import (
     validate_admissible,
 )
 from .groupoid import GroupoidWord, StraightLineData, validate_Q
-from .monodromy import IntersectionMatrix, ParityClass, character_entry, validate_N
+from .monodromy import IntersectionMatrix, ParityClass, validate_N
 
 
 @dataclass(frozen=True)
@@ -167,70 +169,63 @@ def hop_words(fan: FanConfiguration) -> list:
     return hops
 
 
+def _interval_push(fan: FanConfiguration, rows, i: int, j: int) -> list:
+    """Columns i..j (0-based, i < j) of row i of N, given by its rows,
+    pushed through the anchor of s(z_{i+1}, z_{j+1}).
+
+    In the fan order that anchor is g_{i+1} followed by letters g_k^{±1}
+    with i+1 < k < j+1 only: the segment stays inside the wedge between
+    the rays to its endpoints.  So the push reads only columns i..j of the
+    rows i..j-1: its first step scales the row by 1 - eps*diag = -sgn, and
+    no later step reads column j.  O(|anchor| (j - i)) integer operations.
+    """
+    head, *rest = _anchor_segment(fan, i + 1, j + 1).letters
+    if head != (i + 1, 1) or not all(i + 1 < k < j + 1 for k, _ in rest):
+        raise AssertionError(f"anchor of s({i + 1},{j + 1}) leaves the fan interval")
+    sgn, eps = fan.cfg.parity.sgn, fan.cfg.parity.eps
+    row = [-sgn * x for x in rows[i][i : j + 1]]  # after the g_{i+1} step
+    for k, e in rest:
+        s = eps if e > 0 else sgn * eps
+        for _ in range(abs(e)):
+            c = row[k - 1 - i]
+            if c:
+                row = [x - s * c * y for x, y in zip(row, rows[k - 1][i : j + 1])]
+    return row
+
+
 def forward_Q(fan: FanConfiguration, N: IntersectionMatrix) -> StraightLineData:
     """Q(z_i, z_j) = (N rho_N(anchor s(z_i,z_j)))_{ij}; diagonal forced.
-    Each entry pushes one row of N through its anchor, O(|anchor| m)."""
+    Q_ij, i < j, ends the interval push of row i; Q_ji = sgn Q_ij."""
     cfg = fan.cfg
     if N.m != cfg.m:
         raise GeometryError(f"matrix size {N.m} vs {cfg.m} points")
     if N.parity != cfg.parity:
         raise GeometryError("parity class mismatch between N and the fan")
-    m = cfg.m
-    rows = [[0] * m for _ in range(m)]
-    for i in range(1, m + 1):
-        rows[i - 1][i - 1] = cfg.parity.diag
-        for j in range(1, m + 1):
-            if i == j:
-                continue
-            g = _anchor_segment(fan, i, j)
-            rows[i - 1][j - 1] = character_entry(N, g, i - 1, j - 1)
+    sgn = cfg.parity.sgn
+    rows = N.rows()  # its diagonal is the forced one
+    for j in range(1, cfg.m):
+        for i in range(j):
+            q = _interval_push(fan, N.n, i, j)[-1]
+            rows[i][j], rows[j][i] = q, sgn * q
     return validate_Q(cfg, rows)
 
 
 def reconstruct_N(fan: FanConfiguration, Q: StraightLineData) -> IntersectionMatrix:
     """Recover N from straight-line data by a triangular solve of forward_Q.
 
-    For i < j in the fan order the anchor of s(z_i, z_j) is g_i followed by
-    letters g_k^{±1} with i < k < j only: the segment stays inside the wedge
-    between the rays to z_i and z_j.  Pushing row i of N through it, the
-    first step scales the row by 1 - eps*diag = -sgn and no later step reads
-    column j, so
-
-        Q_ij = -sgn N_ij + R_ij,
-
-    with R_ij a function of the N_ab, i <= a < b <= j, (a, b) != (i, j).
-    Filling N for j ascending and, inside that, i descending, every such
-    N_ab is known when (i, j) comes up: push columns i..j of row i, with
-    N_ij held at 0, to get R_ij, and set N_ij = sgn (R_ij - Q_ij).  One
-    push costs O(|anchor| (j - i)); no chi^Q evaluation is made.
+    Q_ij = -sgn N_ij + R_ij, where R_ij reads only the N_ab with
+    i <= a < b <= j, (a, b) != (i, j).  Filling N for j ascending and,
+    inside that, i descending, each of those is known when (i, j) comes
+    up: push row i with N_ij held at 0 to get R_ij, and set
+    N_ij = sgn (R_ij - Q_ij).
     """
     cfg = fan.cfg
     if Q.cfg is not cfg and Q.cfg != cfg:
         raise GeometryError("Q is not indexed by this fan configuration")
-    m = cfg.m
-    parity = cfg.parity
-    sgn, eps = parity.sgn, parity.eps
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = parity.diag
+    m, parity, sgn = cfg.m, cfg.parity, cfg.parity.sgn
+    rows = [[parity.diag if a == b else 0 for b in range(m)] for a in range(m)]
     for j in range(1, m):  # 0-based from here on
         for i in range(j - 1, -1, -1):
-            head, *rest = _anchor_segment(fan, i + 1, j + 1).letters
-            if head != (i + 1, 1) or not all(i + 1 < k < j + 1 for k, _ in rest):
-                raise AssertionError(
-                    f"anchor of s({i + 1},{j + 1}) leaves the fan interval"
-                )
-            row = [-sgn * x for x in rows[i][i : j + 1]]  # after the g_i step
-            for k, e in rest:
-                s = eps if e > 0 else sgn * eps
-                for _ in range(abs(e)):
-                    c = row[k - 1 - i]
-                    if c:
-                        row = [
-                            x - s * c * y
-                            for x, y in zip(row, rows[k - 1][i : j + 1])
-                        ]
-            val = sgn * (row[-1] - Q.q[i][j])
-            rows[i][j] = val
-            rows[j][i] = sgn * val
+            val = sgn * (_interval_push(fan, rows, i, j)[-1] - Q.q[i][j])
+            rows[i][j], rows[j][i] = val, sgn * val
     return validate_N(parity, rows)

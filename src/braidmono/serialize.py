@@ -10,7 +10,6 @@ import sys
 from fractions import Fraction
 
 from .geometry import AdmissibleConfig, GeometryError, validate_admissible
-from .groupring import LaurentElt, GroupRingElt, format_laurent, format_ring_elt
 from .matrices import MonomialGammaMatrix, RingMatrix
 from .monodromy import IntersectionMatrix, ParityClass, validate_N
 from .reconstruct import FanConfiguration, build_fan_config
@@ -26,7 +25,13 @@ def _excerpt(x) -> str:
     return r if len(r) <= 32 else f"{r[:24]}... ({len(r)} chars)"
 
 
-def parse_rational(s) -> Fraction:
+def parse_rational(s, source: str = "") -> Fraction:
+    """A rational from an int, an integral float or a "p/q" string.  Other
+    floats are refused: their binary value is not the decimal written.
+    Errors start with source, when given."""
+    where = f"{source}: " if source else ""
+    if isinstance(s, float) and not s.is_integer():
+        raise SerializeError(f'{where}float {s!r} is inexact, write it as a "p/q" string')
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -34,7 +39,7 @@ def parse_rational(s) -> Fraction:
     except (ValueError, TypeError) as exc:
         # Fraction's own message may echo the whole token
         reason = "not a rational number" if repr(s) in str(exc) else str(exc)
-    raise SerializeError(f"bad rational {_excerpt(s)}: {reason}")
+    raise SerializeError(f"{where}bad rational {_excerpt(s)}: {reason}")
 
 
 def rational_str(x: Fraction) -> str:
@@ -98,7 +103,7 @@ def _parse_point(item, source: str):
         raise SerializeError(
             f"{source}: point must be a [x, y] pair, got {_excerpt(item)}"
         )
-    return parse_rational(item[0]), parse_rational(item[1])
+    return parse_rational(item[0], source), parse_rational(item[1], source)
 
 
 def parse_parity(obj: dict, source: str) -> ParityClass:
@@ -171,16 +176,8 @@ def int_matrix_json(parity: ParityClass, rows) -> dict:
     return {"n_class": parity.n_mod_4, "matrix": [list(r) for r in rows]}
 
 
-def _entry_str(e) -> str:
-    if isinstance(e, LaurentElt):
-        return format_laurent(e)
-    if isinstance(e, GroupRingElt):
-        return format_ring_elt(e)
-    return str(e)
-
-
 def ring_matrix_json(mat: RingMatrix) -> list:
-    return [[_entry_str(e) for e in row] for row in mat.rows]
+    return [[str(e) for e in row] for row in mat.rows]
 
 
 def monomial_json(mono: MonomialGammaMatrix) -> dict:

@@ -194,6 +194,7 @@ MALFORMED = {
     "ragged": {"n_class": 1, "matrix": [[0, 1], 5]},
     "scalar": 5,
     "points": {"n_class": 1, "points": 5, "basepoint": ["0", "-1"]},
+    "float": {"n_class": 1, "points": [[-2, 4.1], [0, 5]], "basepoint": [0, -1]},
 }
 
 
@@ -203,6 +204,7 @@ MALFORMED = {
     "forward --config {scalar} --matrix {N}",
     "forward --config {cfg} --matrix {scalar}",
     "forward --config {points} --matrix {N}",
+    "forward --config {float} --matrix {N}",
     "reconstruct --config {points} --q {N}",
     "reconstruct --config {cfg} --q {ragged}",
     "chi --config {cfg} --q {scalar} --word 1:0,2:0",

@@ -5,9 +5,8 @@ from braidmono import (
     FreeWord,
     GroupRingElt,
     LaurentElt,
+    WordError,
     abelian_reduce,
-    format_laurent,
-    format_ring_elt,
     parse_word,
 )
 
@@ -53,22 +52,22 @@ def test_convolution_matches_word_product():
 
 def test_format_ring_elt_deterministic():
     a = elt(2, ("g1 g2", 1), ("1", -1), ("g1", 2))
-    assert format_ring_elt(a) == "-1 + 2*g1 + g1 g2"
-    assert format_ring_elt(GroupRingElt.zero(2)) == "0"
+    assert str(a) == "-1 + 2*g1 + g1 g2"
+    assert str(GroupRingElt.zero(2)) == "0"
 
 
 def test_laurent_arithmetic():
     t = LaurentElt.var(0)
     p = (t - LaurentElt.one(0)) * (t + LaurentElt.one(0))
     assert p == LaurentElt(0, {(2,): 1, (0,): -1})
-    assert format_laurent(p) == "-1 + t^2"
+    assert str(p) == "-1 + t^2"
     ti = LaurentElt.var(0, e=-1)
     assert t * ti == LaurentElt.one(0)
 
 
 def test_laurent_multivariate_format():
     x = LaurentElt.var(3, 1) * LaurentElt.var(3, 2, -1)
-    assert format_laurent(x) == "t1*t2^-1"
+    assert str(x) == "t1*t2^-1"
 
 
 def test_laurent_arity_enforced():
@@ -76,6 +75,20 @@ def test_laurent_arity_enforced():
         LaurentElt(2, {(1,): 1})
     with pytest.raises(ValueError):
         LaurentElt.var(0) + LaurentElt.var(2, 1)
+
+
+def test_mixed_rings_are_one_line_errors():
+    cases = [
+        (lambda: GroupRingElt.one(2) + LaurentElt.one(0),
+         "mixed rings GroupRingElt and LaurentElt"),
+        (lambda: LaurentElt.one(0) * GroupRingElt.one(2),
+         "mixed rings LaurentElt and GroupRingElt"),
+        (lambda: GroupRingElt.one(2) - GroupRingElt.one(3),
+         "mixed GroupRingElt rings 2 and 3"),
+    ]
+    for op, msg in cases:
+        with pytest.raises(WordError, match=f"^{msg}$"):
+            op()
 
 
 def test_abelian_reduce_word():

@@ -18,7 +18,6 @@ from braidmono import (
     WordError,
     act_on_N,
     character,
-    character_entry,
     character_transform,
     cocycle_and_action,
     forward_Q,
@@ -137,7 +136,7 @@ def test_rho_and_character_match_reference():
         want = ref_character(N, g)
         assert character(N, g) == want
         r, c = rng.randrange(m), rng.randrange(m)
-        assert character_entry(N, g, r, c) == want[r][c]
+        assert character(N, g)[r][c] == want[r][c]
 
 
 def test_character_transform_matches_reference():
@@ -171,7 +170,7 @@ def test_size_mismatch_messages():
         with pytest.raises(WordError, match=r"^word rank 4 vs matrix size 3$"):
             fn(N, g)
     with pytest.raises(WordError, match=r"^word rank 4 vs matrix size 3$"):
-        character_entry(N, g, 0, 0)
+        character(N, g)[0][0]
     for fn in (theoremB_S, act_on_N, cocycle_and_action):
         with pytest.raises(WordError, match=r"^strand count 4 vs matrix size 3$"):
             fn(sigma, N)

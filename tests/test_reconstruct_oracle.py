@@ -1,11 +1,14 @@
-"""reconstruct_N (the triangular solve of forward_Q) against the paper's
-reconstruction, n_ij = chi^Q(c_i c_j^{-1}) evaluated on telescoped hop
-words, at exact equality on arbitrary valid Q, not only forward images."""
+"""forward_Q and reconstruct_N (one interval push per upper entry) against
+the paper's definitions at exact equality: Q_ij read off the full character
+matrix N rho_N(anchor s(z_i, z_j)) for every i != j, and the reconstruction
+n_ij = chi^Q(c_i c_j^{-1}) evaluated on telescoped hop words, on arbitrary
+valid Q, not only forward images."""
 
 import random
 
 from braidmono import (
     ParityClass,
+    character,
     chi_evaluate,
     forward_Q,
     hop_words,
@@ -13,7 +16,20 @@ from braidmono import (
     validate_N,
     validate_Q,
 )
+from braidmono.reconstruct import _anchor_segment
 from conftest import all_parities, rand_N, rand_fan
+
+
+def oracle_forward_Q(fan, N):
+    """Every off-diagonal entry from its own full-width character matrix;
+    validate_Q then checks the lower triangle against the upper one."""
+    m = fan.cfg.m
+    rows = [[fan.cfg.parity.diag] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                rows[i][j] = character(N, _anchor_segment(fan, i + 1, j + 1))[i][j]
+    return validate_Q(fan.cfg, rows)
 
 
 def oracle_reconstruct_N(fan, Q):
@@ -33,6 +49,16 @@ def oracle_reconstruct_N(fan, Q):
             rows[i - 1][j - 1] = val
             rows[j - 1][i - 1] = parity.sgn * val
     return validate_N(parity, rows)
+
+
+def test_forward_Q_matches_oracle():
+    rng = random.Random(5)
+    for m in range(2, 9):
+        for parity in all_parities():
+            for _ in range(2 if m > 6 else 4):
+                fan = rand_fan(rng, parity, m, m)
+                N = rand_N(rng, parity, m, 50)
+                assert forward_Q(fan, N).q == oracle_forward_Q(fan, N).q, (m, parity)
 
 
 def rand_Q(rng, fan, bound=50):

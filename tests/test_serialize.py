@@ -40,6 +40,18 @@ def test_bad_rational_message_is_short():
         assert token[:40] not in msg
 
 
+def test_json_floats(tmp_path):
+    obj = {"n_class": 1, "points": [[-2, 4.1], [0, 5]], "basepoint": [0, -1]}
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps(obj))
+    with pytest.raises(SerializeError) as exc:
+        load_config(str(f))
+    assert str(exc.value) == f'{f}: float 4.1 is inexact, write it as a "p/q" string'
+    # an integral float is exact
+    obj["points"][0][1] = 4.0
+    assert load_config(obj).cfg.points[0].y == 4
+
+
 def test_load_config_fan():
     obj = {
         "n_class": 1,
