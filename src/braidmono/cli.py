@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .words import parse_braid, parse_word
+from .words import FreeWord, parse_braid, parse_word
 from .cocycles import magnus_cocycle, pl_cocycle, reduce_reps
 from .monodromy import (
     IntersectionMatrix,
@@ -19,8 +19,8 @@ from .monodromy import (
     character,
     cocycle_and_action,
     cover_example,
-    mat_mul,
     mat_transpose,
+    validate_N,
 )
 from .groupoid import chi_evaluate, parse_groupoid_word, validate_Q
 from .geometry import AdmissibleConfig
@@ -119,24 +119,16 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _fmt_rows(rows) -> str:
-    return "\n".join("  " + " ".join(f"{x:3d}" for x in r) for r in rows)
-
-
 def _cmd_cover_example(args) -> int:
     _, _, out = cover_example()
-    for w in ["1", "a", "g2", "b", "ab", "ba"]:
+    for w, rows in out.items():
         print(f"N({w}):")
-        print(_fmt_rows(out[w]))
-    # gluing: N(g_i) = N(1) - N(1) E_i N(1); strands 1,3 give N(a), 2,4 give N(g2)
-    N1 = out["1"]
+        for r in rows:
+            print("  " + " ".join(f"{x:3d}" for x in r))
+    # gluing (n = 0): N(1) - N(1) E_i N(1) is N(a) for i = 1, 3 and N(g2) for i = 2, 4
+    N1 = validate_N(ParityClass(0), out["1"])
     for i, want in [(1, "a"), (3, "a"), (2, "g2"), (4, "g2")]:
-        E = [[1 if (r == c == i - 1) else 0 for c in range(4)] for r in range(4)]
-        glued = [
-            [N1[r][c] - mat_mul(N1, mat_mul(E, N1))[r][c] for c in range(4)]
-            for r in range(4)
-        ]
-        if glued != out[want]:
+        if character(N1, FreeWord.gen(4, i)) != out[want]:
             print(f"gluing identity failed at i = {i}", file=sys.stderr)
             return 2
     if mat_transpose(out["ab"]) != out["ba"]:

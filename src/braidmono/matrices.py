@@ -33,13 +33,6 @@ class RingMatrix:
     def from_fn(m: int, fn) -> "RingMatrix":
         return RingMatrix([[fn(i, j) for j in range(m)] for i in range(m)])
 
-    @staticmethod
-    def group_ring_identity(m: int, rank: int | None = None) -> "RingMatrix":
-        """Identity over Z[Γ_rank]; rank defaults to m."""
-        r = m if rank is None else rank
-        one, zero = GroupRingElt.one(r), GroupRingElt.zero(r)
-        return RingMatrix.from_fn(m, lambda i, j: one if i == j else zero)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

@@ -3,12 +3,14 @@ the integer cocycle S(sigma, N) and induced action on N, character
 transforms, integer kernels, and the branched-cover character engine with
 its bundled 3-sheeted example.
 
-Costs, in integer operations on m x m matrices (entries grow with the word,
-so each operation gets dearer): rho and character push rows through
-rank-1 updates, O(|g| m^2); theoremB_S and act_on_N fold the cocycle law
-over the braid letters, O(|sigma| m), without building free-group words.
-The word-based definitions (S read off pl_cocycle, rho as a product of
-generator matrices) are the reference the tests compare against.
+One row kernel, a rank-1 update per syllable with letter powers in closed
+form, moves rows through rho_N for rho, character (O(syllables m^2)),
+character_transform = S^T (N rho_N(g)) S and reconstruct's interval push.
+theoremB_S and act_on_N fold the cocycle law over the braid letters,
+O(|sigma| m), without free-group words.  Costs count integer operations,
+which get dearer as entries grow with the word.  The word-based
+definitions (S read off pl_cocycle, rho as a product of generator
+matrices) are the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .words import BraidWord, FreeWord, WordError
-from .cocycles import pl_cocycle
 
 
 class ParityError(ValueError):
@@ -70,10 +71,6 @@ def mat_transpose(a):
     return [list(r) for r in zip(*a)]
 
 
-def _freeze(a):
-    return tuple(tuple(r) for r in a)
-
-
 @dataclass(frozen=True)
 class IntersectionMatrix:
     parity: ParityClass
@@ -104,48 +101,56 @@ def validate_N(parity: ParityClass, rows) -> IntersectionMatrix:
                     f"symmetry violated at ({i + 1},{j + 1}): "
                     f"{rows[i][j]} != {sgn}*{rows[j][i]}"
                 )
-    return IntersectionMatrix(parity, _freeze(rows))
+    return IntersectionMatrix(parity, tuple(map(tuple, rows)))
 
 
 # --- integer kernels: rho, characters and the cocycle fold ------------------
 #
 # rho_N(g_i^{±1}) = I - s E_i N, so multiplying a row vector on the right by
-# it is one rank-1 update: row <- row - s * row[i] * N[i, :].  Every
-# character entry is a row of N pushed through the letters of g.
+# it is one rank-1 update: row <- row - s * row[i] * N[i, :].  As
+# (E_i N)^2 = N_ii E_i N, so is a letter power: rho_N(g_i)^k = I - s (1 +
+# lam + ... + lam^(k-1)) E_i N with lam = 1 - s N_ii, 1 for n odd, -1 for n
+# even.  Every character entry is a row of N pushed through g's syllables.
 
 
-def _steps(N: IntersectionMatrix, g: FreeWord):
-    """(i, s * row i of N) for each letter g_{i+1}^{±1} of g, exponents
-    expanded; s = eps for g_i, sgn*eps for g_i^{-1}."""
-    if g.m != N.m:
-        raise WordError(f"word rank {g.m} vs matrix size {N.m}")
-    par = N.parity
+def _steps(parity: ParityClass, rows, letters):
+    """(i, c, rows[i]) for each syllable g_{i+1}^e in letters, so that
+    rho_N(g_{i+1}^e) = I - c E_i N: c = eps*e for n odd, eps*(e mod 2)
+    for n even.  Syllables with c = 0 act trivially and are dropped."""
+    eps, odd = parity.eps, parity.sgn < 0
     out = []
-    for i, e in g.letters:
-        s = par.eps if e > 0 else par.sgn * par.eps
-        out.extend([(i - 1, [s * x for x in N.n[i - 1]])] * abs(e))
+    for i, e in letters:
+        c = eps * (e if odd else e % 2)
+        if c:
+            out.append((i - 1, c, rows[i - 1]))
     return out
 
 
 def _times_rho(row, steps):
-    """row * rho_N(g) for g given by its steps, in O(|g| m)."""
-    for i, sn in steps:
-        c = row[i]
-        if c:
-            row = [x - c * y for x, y in zip(row, sn)]
+    """row * rho_N(g) for g given by its steps, in O(syllables * m)."""
+    for i, c, n in steps:
+        if row[i]:
+            c *= row[i]
+            row = [x - c * y for x, y in zip(row, n)]
     return row
 
 
+def _push(rows, N: IntersectionMatrix, g: FreeWord):
+    """rows * rho_N(g), in O(syllables * m) per row."""
+    if g.m != N.m:
+        raise WordError(f"word rank {g.m} vs matrix size {N.m}")
+    steps = _steps(N.parity, N.n, g.letters)
+    return [_times_rho(list(row), steps) for row in rows]
+
+
 def rho(N: IntersectionMatrix, g: FreeWord):
-    """rho_N(g), in O(|g| m^2)."""
-    steps = _steps(N, g)
-    return [_times_rho(row, steps) for row in mat_eye(N.m)]
+    """rho_N(g)."""
+    return _push(mat_eye(N.m), N, g)
 
 
 def character(N: IntersectionMatrix, g: FreeWord):
-    """The monodromy character value N * rho_N(g), in O(|g| m^2)."""
-    steps = _steps(N, g)
-    return [_times_rho(list(row), steps) for row in N.n]
+    """The monodromy character value N * rho_N(g)."""
+    return _push(N.n, N, g)
 
 
 def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool):
@@ -204,22 +209,13 @@ def cocycle_and_action(sigma: BraidWord, N: IntersectionMatrix):
 
 
 def character_transform(N: IntersectionMatrix, tau: BraidWord, g: FreeWord):
-    """(S_c(tau)^t 𝒩 S_c(tau))(g): entry (j,l) is the character of
-    s_j · g · s_l^{-1} at position (pi(j), pi(l))."""
+    """(S_c(tau)^t 𝒩 S_c(tau))(g) = S^T (N rho_N(g)) S with S = theoremB_S:
+    entry (j,l) is the character of s_j · g · s_l^{-1} at (pi(j), pi(l)),
+    since rho_N(h)^T N = N rho_N(h^{-1})."""
     if tau.m != N.m or g.m != N.m:
         raise WordError("size mismatch")
-    mono = pl_cocycle(tau)
-    pi = [p - 1 for p in mono.perm]
-    g_steps = _steps(N, g)
-    # row pi(j) of N rho_N(s_j g), then through rho_N(s_l^{-1})
-    heads = [
-        _times_rho(_times_rho(N.n[pi[j]], _steps(N, s)), g_steps)
-        for j, s in enumerate(mono.entries)
-    ]
-    tails = [_steps(N, s.inverse()) for s in mono.entries]
-    return [
-        [_times_rho(u, tails[l])[pi[l]] for l in range(N.m)] for u in heads
-    ]
+    S = theoremB_S(tau, N)
+    return mat_mul(mat_transpose(S), mat_mul(character(N, g), S))
 
 
 def kernel_basis(N: IntersectionMatrix):
@@ -280,10 +276,8 @@ def cover_character(perm_assignment: dict, cycles, g) -> list:
     assigned deck permutations; the rightmost generator acts first.
 
     perm_assignment maps generator name -> dict label->label; g is a
-    sequence of (name, exponent) pairs, or a juxtaposed string like "ab".
+    sequence of (name, exponent) pairs.
     """
-    if isinstance(g, str):
-        g = [(tok, 1) for tok in list_word(g)] if g != "1" else []
     perms = {}
     for name, table in perm_assignment.items():
         perms[name] = dict(table)
@@ -325,20 +319,8 @@ def cover_example():
         OrientedZeroSphere(((1, 1), (2, -1))),
         OrientedZeroSphere(((1, 1), (3, -1))),
     ]
-    words = ["1", "a", "g2", "b", "ab", "ba"]
-    out = {w: cover_character(assignment, cycles, w) for w in words}
+    words = {"1": [], "a": [("a", 1)], "g2": [("g2", 1)], "b": [("b", 1)],
+             "ab": [("a", 1), ("b", 1)], "ba": [("b", 1), ("a", 1)]}
+    out = {w: cover_character(assignment, cycles, g) for w, g in words.items()}
     return assignment, cycles, out
 
-
-def list_word(w: str):
-    """Split a juxtaposed word like 'ab' or 'g2' into generator names."""
-    names = []
-    i = 0
-    while i < len(w):
-        if w[i] == "g" and i + 1 < len(w) and w[i + 1].isdigit():
-            names.append(w[i : i + 2])
-            i += 2
-        else:
-            names.append(w[i])
-            i += 1
-    return names

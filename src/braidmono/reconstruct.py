@@ -3,8 +3,8 @@ compiler from groupoid words to free-group anchor words, hop words, the
 forward map N -> Q, and the reconstruction Q -> N.
 
 Both maps are one interval push per entry i < j: row i of N through the
-anchor of s(z_i, z_j), reading columns i..j only, O(m^4) integer
-operations at worst.  In the fan order forward_Q is unimodular and
+anchor of s(z_i, z_j) by monodromy's row kernel on columns i..j, O(m^4)
+integer operations at worst.  In the fan order forward_Q is unimodular and
 triangular: Q_ij is -sgn N_ij plus a polynomial in the entries N_ab with
 i <= a < b <= j, (a, b) != (i, j), and reconstruct_N inverts it entry by
 entry, with no chi^Q evaluation.  The tests compare against the paper's
@@ -26,7 +26,7 @@ from .geometry import (
     validate_admissible,
 )
 from .groupoid import GroupoidWord, StraightLineData, validate_Q
-from .monodromy import IntersectionMatrix, ParityClass, validate_N
+from .monodromy import IntersectionMatrix, ParityClass, _steps, _times_rho, validate_N
 
 
 @dataclass(frozen=True)
@@ -175,22 +175,15 @@ def _interval_push(fan: FanConfiguration, rows, i: int, j: int) -> list:
 
     In the fan order that anchor is g_{i+1} followed by letters g_k^{±1}
     with i+1 < k < j+1 only: the segment stays inside the wedge between
-    the rays to its endpoints.  So the push reads only columns i..j of the
-    rows i..j-1: its first step scales the row by 1 - eps*diag = -sgn, and
-    no later step reads column j.  O(|anchor| (j - i)) integer operations.
+    the rays to its endpoints.  So the push is monodromy's row kernel on
+    rows i..j-1, columns i..j, indices shifted by i.  O(syllables (j - i)).
     """
-    head, *rest = _anchor_segment(fan, i + 1, j + 1).letters
-    if head != (i + 1, 1) or not all(i + 1 < k < j + 1 for k, _ in rest):
+    letters = _anchor_segment(fan, i + 1, j + 1).letters
+    if letters[:1] != ((i + 1, 1),) or not all(i + 1 < k <= j for k, _ in letters[1:]):
         raise AssertionError(f"anchor of s({i + 1},{j + 1}) leaves the fan interval")
-    sgn, eps = fan.cfg.parity.sgn, fan.cfg.parity.eps
-    row = [-sgn * x for x in rows[i][i : j + 1]]  # after the g_{i+1} step
-    for k, e in rest:
-        s = eps if e > 0 else sgn * eps
-        for _ in range(abs(e)):
-            c = row[k - 1 - i]
-            if c:
-                row = [x - s * c * y for x, y in zip(row, rows[k - 1][i : j + 1])]
-    return row
+    window = [r[i : j + 1] for r in rows[i:j]]
+    steps = _steps(fan.cfg.parity, window, [(k - i, e) for k, e in letters])
+    return _times_rho(window[0], steps)
 
 
 def forward_Q(fan: FanConfiguration, N: IntersectionMatrix) -> StraightLineData:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from .geometry import AdmissibleConfig, GeometryError, validate_admissible
@@ -19,9 +20,8 @@ class SerializeError(ValueError):
     pass
 
 
-def _excerpt(x) -> str:
-    """repr(x), cut to a short prefix and its length when it is long."""
-    r = repr(x)
+def _excerpt(r: str) -> str:
+    """r, cut to a short prefix and its length when it is long."""
     return r if len(r) <= 32 else f"{r[:24]}... ({len(r)} chars)"
 
 
@@ -39,7 +39,7 @@ def parse_rational(s, source: str = "") -> Fraction:
     except (ValueError, TypeError) as exc:
         # Fraction's own message may echo the whole token
         reason = "not a rational number" if repr(s) in str(exc) else str(exc)
-    raise SerializeError(f"{where}bad rational {_excerpt(s)}: {reason}")
+    raise SerializeError(f"{where}bad rational {_excerpt(repr(s))}: {reason}")
 
 
 def rational_str(x: Fraction) -> str:
@@ -55,10 +55,21 @@ def _too_many_digits(source: str) -> SerializeError:
 
 
 def _read_json(path: str):
+    def exact_float(token: str) -> float:
+        # the binary value the token is read as must be the decimal written
+        try:
+            if Decimal(float(token)) == Decimal(token):
+                return float(token)
+        except ArithmeticError:  # an exponent past Decimal's range
+            pass
+        raise SerializeError(
+            f'{path}: float {_excerpt(token)} is inexact, write it as a "p/q" string'
+        )
+
     with open(path) as fh:
         try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError):
+            return json.load(fh, parse_float=exact_float)
+        except (json.JSONDecodeError, UnicodeDecodeError, SerializeError):
             raise
         except ValueError:
             # json raises a bare ValueError only from int() on an integer
@@ -77,7 +88,7 @@ def _to_int(x, source: str) -> int:
             limit = sys.get_int_max_str_digits()
             if limit and isinstance(x, str) and len(x.strip().lstrip("+-")) > limit:
                 raise _too_many_digits(source) from None
-    raise SerializeError(f"{source}: {_excerpt(x)} is not an integer")
+    raise SerializeError(f"{source}: {_excerpt(repr(x))} is not an integer")
 
 
 def _object(obj, what: str):
@@ -101,7 +112,7 @@ def _rows(obj: dict, key: str, source: str) -> list:
 def _parse_point(item, source: str):
     if not isinstance(item, (list, tuple)) or len(item) != 2:
         raise SerializeError(
-            f"{source}: point must be a [x, y] pair, got {_excerpt(item)}"
+            f"{source}: point must be a [x, y] pair, got {_excerpt(repr(item))}"
         )
     return parse_rational(item[0], source), parse_rational(item[1], source)
 

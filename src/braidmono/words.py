@@ -195,11 +195,19 @@ class BraidWord:
         return f"BraidWord({self.m}, {format_braid(self)!r})"
 
 
+MAX_BRAID_POWER = 2**20  # letters one braid token may expand to
+
+
 def parse_braid(text: str, m: int) -> BraidWord:
     letters = []
     for kind, i, e in _parse_tokens(text):
         if kind not in ("s", "e"):
             raise WordError(f"expected s<k> or e<i> token, got {kind}{i}")
+        if abs(e) > MAX_BRAID_POWER:
+            raise WordError(
+                f"braid token {_fmt(kind, i, e)} expands to more than "
+                f"{MAX_BRAID_POWER} letters"
+            )
         if e == 0:
             continue
         sign = 1 if e > 0 else -1

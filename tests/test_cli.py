@@ -117,6 +117,27 @@ def test_character_cmd(capsys, files):
     assert json.loads(out)["matrix"] == [[0, 2, -1], [-2, 0, 3], [1, -3, 0]]
 
 
+@pytest.mark.parametrize("e", [4611686018427387904, 10**19, -(10**19) - 1])
+def test_character_of_huge_letter_power(capsys, files, e):
+    """N rho_N(g1^e) = N - eps e N E_1 N for n = 1 (eps = -1), without
+    expanding the power."""
+    _, N = files
+    code, out, err = run(capsys, "character", "--n-class", "1", "--matrix", N,
+                         "--g", f"g1^{e}")
+    assert (code, err) == (0, "")
+    Nin = [[0, 2, -1], [-2, 0, 3], [1, -3, 0]]
+    want = [[Nin[r][c] + e * Nin[r][0] * Nin[0][c] for c in range(3)] for r in range(3)]
+    assert json.loads(out)["matrix"] == want
+
+
+@pytest.mark.parametrize("tok", ["s2^4611686018427387904", "s2^-10000000000000000000"])
+def test_act_refuses_huge_braid_power(capsys, files, tok):
+    _, N = files
+    code, out, err = run(capsys, "act", "--n-class", "1", "--matrix", N, f"s3 {tok}")
+    assert one_line_error(code, out, err), err
+    assert err.startswith(f"error: braid token {tok} expands to more than ")
+
+
 def test_forward_reconstruct_chi_pipeline(capsys, tmp_path, files):
     cfg, N = files
     code, out, _ = run(capsys, "forward", "--config", cfg, "--matrix", N)
@@ -223,6 +244,24 @@ def test_non_integer_matrix_entries(capsys, tmp_path):
         code, out, err = run(capsys, "act", "--n-class", "1", "--matrix", bad, "s2")
         assert one_line_error(code, out, err), err
         assert err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("token", ["1e23", "4.0000000000000001"])
+def test_inexact_float_tokens(capsys, tmp_path, files, token):
+    cfg, N = files
+    bad_N = tmp_path / "badN.json"
+    bad_N.write_text('{"n_class": 1, "matrix": [[0, ' + token + "], [-1, 0]]}")
+    bad_cfg = tmp_path / "badcfg.json"
+    bad_cfg.write_text(
+        '{"n_class": 1, "points": [[-2, ' + token + '], [0, 5]], "basepoint": [0, -1]}'
+    )
+    for argv, path in (
+        (["act", "--n-class", "1", "--matrix", str(bad_N), "s2"], bad_N),
+        (["forward", "--config", str(bad_cfg), "--matrix", N], bad_cfg),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert one_line_error(code, out, err), err
+        assert err == f'error: {path}: float {token} is inexact, write it as a "p/q" string\n'
 
 
 def test_long_bad_token_is_cut(capsys, tmp_path):

@@ -129,14 +129,31 @@ def test_braid_words_match_reference():
 
 def test_rho_and_character_match_reference():
     for rng, p, m, N in cases(13, 160):
-        g = rand_free(rng, m, rng.randint(0, 12))
-        if rng.random() < 0.3:  # exponents beyond ±1
-            g = g * FreeWord.gen(m, rng.randint(1, m), rng.choice((-3, 2)))
+        # syllable exponents in -9..9 (zeros drop out of the reduced word)
+        g = FreeWord.make(m, [
+            (rng.randint(1, m), rng.randint(-9, 9)) for _ in range(rng.randint(0, 12))
+        ])
         assert rho(N, g) == ref_rho(N, g)
         want = ref_character(N, g)
         assert character(N, g) == want
         r, c = rng.randrange(m), rng.randrange(m)
         assert character(N, g)[r][c] == want[r][c]
+
+
+@pytest.mark.parametrize("parity", all_parities(), ids=lambda p: f"n{p.n_mod_4}")
+def test_rho_of_huge_letter_power_is_closed_form(parity):
+    """rho_N(g_i^e) = I - eps c E_i N with c = e for n odd, e mod 2 for n
+    even: far past any exponent the reference could expand."""
+    rng = random.Random(29 + parity.n_mod_4)
+    m = 4
+    N = rand_N(rng, parity, m)
+    for e in (10**12, 10**12 + 1, -(10**12) - 1):
+        c = e if parity.sgn < 0 else e % 2
+        for i in range(1, m + 1):
+            want = mat_eye(m)
+            for col in range(m):
+                want[i - 1][col] -= parity.eps * c * N.n[i - 1][col]
+            assert rho(N, FreeWord.gen(m, i, e)) == want
 
 
 def test_character_transform_matches_reference():

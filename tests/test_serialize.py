@@ -50,6 +50,25 @@ def test_json_floats(tmp_path):
     # an integral float is exact
     obj["points"][0][1] = 4.0
     assert load_config(obj).cfg.points[0].y == 4
+    # 1e23 reads as the float 99999999999999991611392 and 4.0000000000000001
+    # as 4.0: both integral, so only the written token shows them inexact
+    mat = tmp_path / "N.json"
+    for token in ("1e23", "4.0000000000000001"):
+        mat.write_text('{"n_class": 1, "matrix": [[0, ' + token + "], [-1, 0]]}")
+        f.write_text(
+            '{"n_class": 1, "points": [[-2, ' + token + '], [0, 5]], "basepoint": [0, -1]}'
+        )
+        for load, path in ((load_int_matrix, mat), (load_config, f)):
+            with pytest.raises(SerializeError) as exc:
+                load(str(path))
+            assert str(exc.value) == (
+                f'{path}: float {token} is inexact, write it as a "p/q" string'
+            )
+    # exact tokens read as before
+    mat.write_text('{"n_class": 1, "matrix": [[0, 1e3], [-1000.0, 0]]}')
+    assert load_int_matrix(str(mat)).n == ((0, 1000), (-1000, 0))
+    f.write_text('{"n_class": 1, "points": [[-2, 4.0], [1e1, 5]], "basepoint": [0, -1]}')
+    assert [p.x for p in load_config(str(f)).cfg.points] == [-2, 10]
 
 
 def test_load_config_fan():

@@ -11,6 +11,7 @@ from braidmono import (
     parse_braid,
     parse_word,
 )
+from braidmono.words import MAX_BRAID_POWER
 
 pairs_st = st.lists(
     st.tuples(st.integers(1, 4), st.integers(-3, 3)), max_size=10
@@ -97,6 +98,15 @@ def test_parse_braid_expands_powers():
     assert format_braid(b) == "s2^3 e1'"
     assert parse_braid("", 3) == BraidWord.identity(3)
     assert parse_braid("s2^0", 3) == BraidWord.identity(3)
+    # powers are expanded only up to a letter budget, then refused by token
+    assert len(parse_braid(f"e1^-{MAX_BRAID_POWER}", 2).letters) == MAX_BRAID_POWER
+    for tok in (f"s2^{MAX_BRAID_POWER + 1}", "s2^4611686018427387904",
+                "e1^-10000000000000000000"):
+        with pytest.raises(WordError) as exc:
+            parse_braid(f"s2 {tok}", 3)
+        assert str(exc.value) == (
+            f"braid token {tok} expands to more than {MAX_BRAID_POWER} letters"
+        )
 
 
 def test_action_on_generators():
