@@ -7,7 +7,10 @@ chains around them.
 every orientation and tangent side, as bitmasks of points.  The predicates
 below only read those tables, so they are exact without any Fraction
 arithmetic.  Convex hulls are memoised per active subset on the
-configuration.
+configuration.  Fan configurations hand their already-scaled coordinates
+to the same tabulation core, and `reconstruct` reads every anchor off the
+table: for clockwise fan indices i < j, the straight path s(z_i, z_j)
+crosses ray k beyond z_k exactly when k lies in left[j][i] and i < k < j.
 """
 
 from __future__ import annotations
@@ -99,18 +102,27 @@ def validate_admissible(points, tangents, parity: ParityClass) -> AdmissibleConf
         p if isinstance(p, RationalPoint) else RationalPoint.of(*p) for p in points
     )
     tans = tuple((_frac(vx), _frac(vy)) for vx, vy in tangents)
-    m = len(pts)
-    if len(tans) != m:
+    if len(tans) != len(pts):
         raise GeometryError("need one tangent per point")
     for v in tans:
         if v == (0, 0):
             raise GeometryError("tangent vectors must be nonzero")
+    flat = scale_to_int([c for p in pts for c in (p.x, p.y)])
+    xy = list(zip(flat[::2], flat[1::2]))
+    return _tabulate(pts, tans, parity, xy, [scale_to_int(v) for v in tans])
+
+
+def _tabulate(pts, tans, parity, xy, dirs) -> AdmissibleConfig:
+    """The configuration (pts, tans) with its sign tables, computed from xy,
+    the points in integer coordinates at one common scale, and dirs, each
+    tangent as an integer direction; checks distinctness, collinearity and
+    aimed tangents in that order."""
+    m = len(xy)
     for i in range(m):
         for j in range(i + 1, m):
-            if pts[i] == pts[j]:
+            if xy[i] == xy[j]:
                 raise GeometryError(f"duplicate point at indices {i + 1}, {j + 1}")
-    flat = scale_to_int([c for p in pts for c in (p.x, p.y)])
-    xy = [None] + list(zip(flat[::2], flat[1::2]))  # 1-based
+    xy = [None, *xy]  # 1-based
     left = [[0] * (m + 1) for _ in range(m + 1)]
     for i in range(1, m + 1):
         xi, yi = xy[i]
@@ -126,7 +138,7 @@ def validate_admissible(points, tangents, parity: ParityClass) -> AdmissibleConf
                 left[c][a] |= 1 << b
     sides = [(0, 0)]
     for i in range(1, m + 1):
-        vx, vy = scale_to_int(tans[i - 1])
+        vx, vy = dirs[i - 1]
         xi, yi = xy[i]
         pos = neg = 0
         for j in range(1, m + 1):
@@ -142,8 +154,8 @@ def validate_admissible(points, tangents, parity: ParityClass) -> AdmissibleConf
                 neg |= 1 << j
         sides.append((pos, neg))
     return AdmissibleConfig(
-        pts,
-        tans,
+        tuple(pts),
+        tuple(tans),
         parity,
         tuple(map(tuple, left)),
         tuple(sides),

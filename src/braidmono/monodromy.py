@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import lcm
 
 from .words import BraidWord, FreeWord, WordError
 
@@ -275,23 +276,30 @@ def cover_character(perm_assignment: dict, cycles, g) -> list:
     """Intersection matrix entry (i,j) = <L_i, g·L_j> for a word g in the
     assigned deck permutations; the rightmost generator acts first.
 
-    perm_assignment maps generator name -> dict label->label; g is a
-    sequence of (name, exponent) pairs.
+    perm_assignment maps generator name -> dict label->label, a permutation
+    of its keys; g is a sequence of (name, exponent) pairs.  Exponents are
+    taken modulo the permutation's order, the lcm of its cycle lengths.
     """
     perms = {}
     for name, table in perm_assignment.items():
-        perms[name] = dict(table)
-        inv = {v: k for k, v in table.items()}
-        if len(inv) != len(table):
+        table = dict(table)
+        if set(table.values()) != table.keys():
             raise ValueError(f"assignment for {name!r} is not a bijection")
-        perms[name + "^-1"] = inv
+        order, seen = 1, set()
+        for x in table:
+            length = 0
+            while x not in seen:
+                seen.add(x)
+                x, length = table[x], length + 1
+            order = lcm(order, length or 1)
+        perms[name] = table, order
 
     def apply(label: int) -> int:
         for name, e in reversed(list(g)):
             if name not in perms:
                 raise ValueError(f"generator {name!r} not assigned")
-            table = perms[name] if e >= 0 else perms[name + "^-1"]
-            for _ in range(abs(e)):
+            table, order = perms[name]
+            for _ in range(e % order):
                 label = table.get(label, label)
         return label
 

@@ -1,32 +1,42 @@
-"""Fan configurations (straight paths from a basepoint), the ray-crossing
-compiler from groupoid words to free-group anchor words, hop words, the
-forward map N -> Q, and the reconstruction Q -> N.
+"""Fan configurations (straight paths from a basepoint), the anchors of
+groupoid words in the free group, hop words, the forward map N -> Q, and
+the reconstruction Q -> N.
 
-Both maps are one interval push per entry i < j: row i of N through the
-anchor of s(z_i, z_j) by monodromy's row kernel on columns i..j, O(m^4)
+Anchors come off the orientation table.  Index the fan clockwise and let
+i < j.  The segment s(z_i, z_j) stays inside the wedge between the rays to
+z_i and z_j; it crosses the rays between them in angular order, and it
+crosses ray k beyond z_k exactly when z_k lies in the triangle
+(z0, z_i, z_j), i.e. left of z_j -> z_i.  So
+
+    anchor s(z_i, z_j) = g_i g_{k_1} ... g_{k_r},  k_1 < ... < k_r the bits of
+                         left[j][i] strictly between i and j,
+
+and anchor s(z_j, z_i) is its inverse.
+
+Both maps are one interval push per entry i < j: row i of N through that
+anchor by monodromy's row kernel, every step with coefficient eps, O(m^4)
 integer operations at worst.  In the fan order forward_Q is unimodular and
 triangular: Q_ij is -sgn N_ij plus a polynomial in the entries N_ab with
 i <= a < b <= j, (a, b) != (i, j), and reconstruct_N inverts it entry by
 entry, with no chi^Q evaluation.  The tests compare against the paper's
-definitions: full character matrices for Q, and the telescoping
-n_ij = chi^Q(c_i c_j^{-1}) along the hop words for N.
+definitions: anchors by Fraction ray crossings, full character matrices for
+Q, and the telescoping n_ij = chi^Q(c_i c_j^{-1}) along the hop words for N.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cmp_to_key
+from dataclasses import dataclass
 
 from .words import FreeWord
 from .geometry import (
     AdmissibleConfig,
     GeometryError,
     RationalPoint,
+    _tabulate,
     scale_to_int,
-    validate_admissible,
 )
 from .groupoid import GroupoidWord, StraightLineData, validate_Q
-from .monodromy import IntersectionMatrix, ParityClass, _steps, _times_rho, validate_N
+from .monodromy import IntersectionMatrix, ParityClass, _times_rho, validate_N
 
 
 @dataclass(frozen=True)
@@ -35,14 +45,12 @@ class FanConfiguration:
     which every point is reached by a straight path; points are indexed by
     clockwise angle at z0.
 
-    order[k] is the fan index (1-based) of the k-th input point; xy holds
-    z0 and then z_1..z_m in integer coordinates (one common scale).
+    order[k] is the fan index (1-based) of the k-th input point.
     """
 
     cfg: AdmissibleConfig
     z0: RationalPoint
     order: tuple[int, ...]
-    xy: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -93,49 +101,24 @@ def build_fan_config(points, z0, parity: ParityClass, tangents=None) -> FanConfi
     for input_pos, fan_pos in enumerate(ccw):
         idx[fan_pos] = input_pos
     ordered = [pts[t] for t in idx]
-    tans = [(z0.x - p.x, z0.y - p.y) for p in ordered]
-    cfg = validate_admissible(ordered, tans, parity)
-    order = tuple(c + 1 for c in ccw)
-    return FanConfiguration(cfg, z0, order, (xy[0], *(xy[t + 1] for t in idx)))
+    cfg = _tabulate(
+        ordered,
+        [(z0.x - p.x, z0.y - p.y) for p in ordered],
+        parity,
+        [xy[t + 1] for t in idx],
+        [(-dirs[t][0], -dirs[t][1]) for t in idx],
+    )
+    return FanConfiguration(cfg, z0, tuple(c + 1 for c in ccw))
 
 
 def _anchor_segment(fan: FanConfiguration, i: int, j: int) -> FreeWord:
-    """Anchor of the straight generator s(z_i, z_j): traverse the path to
-    z_j, the segment z_j -> z_i, and the path from z_i backwards, recording
-    ray crossings and endpoint turn sweeps; later letters multiply left."""
-    xy = fan.xy
-    (bx, by), (ix, iy), (jx, jy) = xy[0], xy[i], xy[j]
-    dx, dy = ix - jx, iy - jy  # d = z_i - z_j
-    letters: list[tuple[int, int]] = []  # traversal order
-    # clockwise sweep at the source crosses z_j's own ray iff the segment
-    # leaves on the counterclockwise side of the z0 -> z_j line
-    if (bx - jx) * dy - (by - jy) * dx > 0:
-        letters.append((j, -1))
-    hits = []
-    for k in range(1, len(xy)):
-        if k == i or k == j:
-            continue
-        kx, ky = xy[k]
-        rx, ry = kx - bx, ky - by  # ray direction beyond z_k
-        den = dx * ry - dy * rx
-        if den == 0:
-            continue
-        ex, ey = kx - jx, ky - jy  # z_k - z_j
-        # the segment meets the ray at z_j + (s/den) d = z_k + (t/den) r
-        s = ex * ry - ey * rx
-        t = ex * dy - ey * dx
-        if den < 0:
-            den, s, t = -den, -s, -t
-        if 0 < s < den and t > 0:
-            hits.append((s, den, k, 1 if dx * ey - dy * ex > 0 else -1))
-    # crossing parameters are distinct (no two rays are collinear)
-    hits.sort(key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-    letters.extend((k, e) for _, _, k, e in hits)
-    # counterclockwise sweep at the target crosses z_i's ray iff the
-    # segment arrives on the clockwise side of the z0 -> z_i line
-    if dy * (bx - ix) - dx * (by - iy) < 0:
-        letters.append((i, 1))
-    return FreeWord.make(fan.cfg.m, reversed(letters))
+    """Anchor of the straight generator s(z_i, z_j), read off the
+    orientation table (module docstring)."""
+    if i > j:
+        return _anchor_segment(fan, j, i).inverse()
+    inside = fan.cfg.left[j][i]
+    letters = [(i, 1)] + [(k, 1) for k in range(i + 1, j) if inside >> k & 1]
+    return FreeWord(fan.cfg.m, tuple(letters))
 
 
 def anchor_word(fan: FanConfiguration, w: GroupoidWord) -> AnchorWord:
@@ -153,37 +136,25 @@ def anchor_word(fan: FanConfiguration, w: GroupoidWord) -> AnchorWord:
 
 def hop_words(fan: FanConfiguration) -> list:
     """hop_k realizes c_k · c_{k+1}^{-1}: the straight generator between
-    angular neighbours dressed with the twists cancelling its anchor."""
-    m = fan.cfg.m
-    hops = []
-    for k in range(1, m):
-        u = _anchor_segment(fan, k, k + 1)
-        expo = {k: 0, k + 1: 0}
-        for idx, e in u.letters:
-            if idx not in expo:
-                raise AssertionError(
-                    f"neighbour segment {k},{k + 1} crossed ray {idx}"
-                )
-            expo[idx] += e
-        hops.append(GroupoidWord((k, k + 1), (-expo[k], -expo[k + 1])))
-    return hops
+    angular neighbours, whose anchor is g_k (no point lies between them),
+    dressed with the twist cancelling it."""
+    return [GroupoidWord((k, k + 1), (-1, 0)) for k in range(1, fan.cfg.m)]
 
 
-def _interval_push(fan: FanConfiguration, rows, i: int, j: int) -> list:
-    """Columns i..j (0-based, i < j) of row i of N, given by its rows,
-    pushed through the anchor of s(z_{i+1}, z_{j+1}).
+def _interval_push(fan: FanConfiguration, rows, i: int, j: int) -> int:
+    """Entry j (0-based, i < j) of row i of N, given by its rows, pushed
+    through the anchor of s(z_{i+1}, z_{j+1}).
 
-    In the fan order that anchor is g_{i+1} followed by letters g_k^{±1}
-    with i+1 < k < j+1 only: the segment stays inside the wedge between
-    the rays to its endpoints.  So the push is monodromy's row kernel on
-    rows i..j-1, columns i..j, indices shifted by i.  O(syllables (j - i)).
+    The anchor steps through g_{i+1} and the interior points of the
+    triangle (z0, z_{i+1}, z_{j+1}), each with coefficient eps.  The push
+    reads the row only at those step columns and only column j is wanted,
+    so it runs on those columns alone: O(r^2) for r interior points.
     """
-    letters = _anchor_segment(fan, i + 1, j + 1).letters
-    if letters[:1] != ((i + 1, 1),) or not all(i + 1 < k <= j for k, _ in letters[1:]):
-        raise AssertionError(f"anchor of s({i + 1},{j + 1}) leaves the fan interval")
-    window = [r[i : j + 1] for r in rows[i:j]]
-    steps = _steps(fan.cfg.parity, window, [(k - i, e) for k, e in letters])
-    return _times_rho(window[0], steps)
+    inside = fan.cfg.left[j + 1][i + 1]
+    cols = [i, *(k for k in range(i + 1, j) if inside >> (k + 1) & 1), j]
+    eps = fan.cfg.parity.eps
+    steps = [(t, eps, [rows[a][b] for b in cols]) for t, a in enumerate(cols[:-1])]
+    return _times_rho(steps[0][2], steps)[-1]
 
 
 def forward_Q(fan: FanConfiguration, N: IntersectionMatrix) -> StraightLineData:
@@ -198,7 +169,7 @@ def forward_Q(fan: FanConfiguration, N: IntersectionMatrix) -> StraightLineData:
     rows = N.rows()  # its diagonal is the forced one
     for j in range(1, cfg.m):
         for i in range(j):
-            q = _interval_push(fan, N.n, i, j)[-1]
+            q = _interval_push(fan, N.n, i, j)
             rows[i][j], rows[j][i] = q, sgn * q
     return validate_Q(cfg, rows)
 
@@ -219,6 +190,6 @@ def reconstruct_N(fan: FanConfiguration, Q: StraightLineData) -> IntersectionMat
     rows = [[parity.diag if a == b else 0 for b in range(m)] for a in range(m)]
     for j in range(1, m):  # 0-based from here on
         for i in range(j - 1, -1, -1):
-            val = sgn * (_interval_push(fan, rows, i, j)[-1] - Q.q[i][j])
+            val = sgn * (_interval_push(fan, rows, i, j) - Q.q[i][j])
             rows[i][j], rows[j][i] = val, sgn * val
     return validate_N(parity, rows)

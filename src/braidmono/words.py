@@ -71,12 +71,19 @@ class FreeWord:
         return FreeWord(self.m, tuple((i, -e) for i, e in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "FreeWord":
+        """w^n = u c^n u^-1 with w = u c u^-1 and c cyclically reduced: one
+        syllable g_i^k gives g_i^(kn), so that case costs O(|u|)."""
         if n < 0:
             return self.inverse() ** (-n)
-        out = FreeWord.identity(self.m)
-        for _ in range(n):
-            out = out * self
-        return out
+        s, t = self.letters, 0
+        while 2 * t + 1 < len(s) and s[t] == (s[-1 - t][0], -s[-1 - t][1]):
+            t += 1
+        u, c = s[:t], s[t : len(s) - t]
+        if len(c) > 1 and c[0][0] == c[-1][0]:  # a^p X a^q = a^-q (a^(p+q) X) a^q
+            (a, p), q = c[0], c[-1][1]
+            u, c = u + ((a, -q),), ((a, p + q),) + c[1:-1]
+        body = ((c[0][0], c[0][1] * n),) if len(c) == 1 else c * n
+        return FreeWord.make(self.m, u + body + tuple((i, -e) for i, e in reversed(u)))
 
     def is_identity(self) -> bool:
         return not self.letters

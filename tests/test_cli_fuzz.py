@@ -1,0 +1,119 @@
+"""Random JSON inputs through the CLI: every command either succeeds or
+exits 1 with a single line on stderr, never with a traceback.
+
+Inputs start from a coherent fan, N and Q of one parity class and size;
+each file, and each field in it, is then replaced by a random JSON value
+now and then, so both the happy path and every validation step are hit.
+"""
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from braidmono.cli import main
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-6, 6),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(["", "1/2", "-3", "0/0", "x", "1/0", "7/3"]),
+    st.text(max_size=4),
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+def sometimes(draw, value):
+    """value, or a random JSON value once in six draws."""
+    return draw(json_values) if draw(st.integers(1, 6)) == 1 else value
+
+
+@st.composite
+def matrices(draw, k, m):
+    """A matrix file of class k and size m that obeys the parity laws,
+    with a field or an entry now and then replaced."""
+    sgn, diag = (-1, 0) if k % 2 else (1, 2 if k == 0 else -2)
+    rows = [[diag] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            rows[i][j] = draw(st.integers(-3, 3))
+            rows[j][i] = sgn * rows[i][j]
+    r = draw(st.integers(0, m - 1))
+    rows[r][0] = sometimes(draw, rows[r][0])
+    return sometimes(draw, {"n_class": sometimes(draw, k), "matrix": sometimes(draw, rows)})
+
+
+@st.composite
+def configs(draw, k, m):
+    """A fan config of class k with m points, or one time in four a config
+    with explicit tangents, with a field now and then replaced."""
+    pts = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 6)), min_size=m, max_size=m))
+    obj = {"n_class": sometimes(draw, k), "points": sometimes(draw, pts)}
+    if draw(st.integers(0, 3)):
+        z0 = draw(st.tuples(st.integers(-4, 4), st.integers(-9, -1)))
+        obj["basepoint"] = sometimes(draw, z0)
+    else:
+        obj["tangents"] = sometimes(draw, pts[::-1])
+    return sometimes(draw, obj)
+
+
+@st.composite
+def inputs(draw):
+    k, m = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    cmd = draw(st.sampled_from(["forward", "reconstruct", "act", "character", "chi"]))
+    word = draw(st.sampled_from({
+        "act": ["s2", "s3' e1^2", "", "s2^-3 e4", "s9", "t1"],
+        "character": ["g1 g2'", "1", "g3^5", "g9", "h1"],
+        "chi": ["1:0,2:1", "2:0,1:-1,3:2", "1:0", "4:1,1:0", "x", "1:0,1:1"],
+    }.get(cmd, [""])))
+    k_arg = draw(st.sampled_from([k] * 6 + [-1, 4]))
+    files = {"config": draw(configs(k, m)), "N": draw(matrices(k, m)), "Q": draw(matrices(k, m))}
+    return cmd, word, k_arg, files
+
+
+def argv_for(cmd, paths, k, word):
+    return {
+        "forward": ["forward", "--config", paths["config"], "--matrix", paths["N"]],
+        "reconstruct": ["reconstruct", "--config", paths["config"], "--q", paths["Q"]],
+        "act": ["act", "--n-class", str(k), "--matrix", paths["N"], word],
+        "character": ["character", "--n-class", str(k), "--matrix", paths["N"], "--g", word],
+        "chi": ["chi", "--config", paths["config"], "--q", paths["Q"], "--word", word],
+    }[cmd]
+
+
+def run_cli(cmd, word, k, files):
+    """(exit code, stderr) of one CLI call on the given JSON files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, obj in files.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(obj, fh)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv_for(cmd, paths, k, word))
+    return code, err.getvalue()
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(inputs())
+def test_cli_on_random_json(case):
+    code, err = run_cli(*case)
+    assert code in (0, 1), err
+    assert err.count("\n") <= 1 and "Traceback" not in err, err

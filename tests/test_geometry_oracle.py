@@ -152,14 +152,23 @@ def rand_admissible(rng, m):
             continue
 
 
-def rand_loaded(rng, m, basepoint):
+def rand_basepoint(rng, pts, reach):
+    """Below every point: by reach times a small random rational, and for
+    a large reach also far off to the side."""
+    low = min(y for _, y in pts)
+    step = Fraction(rng.randint(1, 9), rng.choice(DENOMS))
+    return rand_q(rng, -9, 9) * max(reach, 1), low - reach * step
+
+
+def rand_loaded(rng, m, basepoint, reach=None):
     """A configuration given as "p/q" strings and parsed by load_config."""
     while True:
-        obj = {
-            "n_class": rng.randrange(4),
-            "points": [[qstr(rand_q(rng)), qstr(rand_q(rng, 5, 60))] for _ in range(m)],
-        }
-        if basepoint:
+        n_class = rng.randrange(4)
+        pts = [(rand_q(rng), rand_q(rng, 5, 60)) for _ in range(m)]
+        obj = {"n_class": n_class, "points": [[qstr(x), qstr(y)] for x, y in pts]}
+        if basepoint and reach is not None:
+            obj["basepoint"] = [qstr(c) for c in rand_basepoint(rng, pts, reach)]
+        elif basepoint:
             obj["basepoint"] = [qstr(rand_q(rng, -9, 9)), qstr(rand_q(rng, -12, -1))]
         else:
             obj["tangents"] = [
@@ -171,11 +180,15 @@ def rand_loaded(rng, m, basepoint):
             continue
 
 
-def rand_fan(rng, parity, m):
+def rand_fan(rng, parity, m, reach=None):
     while True:
         pts = [(rand_q(rng), rand_q(rng, -10, 60)) for _ in range(m)]
+        if reach is None:
+            z0 = (rand_q(rng, -9, 9), rand_q(rng, -20, -11))
+        else:
+            z0 = rand_basepoint(rng, pts, reach)
         try:
-            return build_fan_config(pts, (rand_q(rng, -9, 9), rand_q(rng, -20, -11)), parity)
+            return build_fan_config(pts, z0, parity)
         except GeometryError:
             continue
 
@@ -235,14 +248,22 @@ def test_subset_predicates_match_reference():
 
 
 def test_anchor_segments_match_reference():
+    """The orientation-table anchors are the Fraction ray crossings, with
+    the basepoint at the usual distance, nearly touching the points' hull,
+    and far away."""
     rng = random.Random(4)
-    for t in range(30):
-        if t % 2:
-            fan = rand_loaded(rng, rng.randint(2, 8), basepoint=True)
-        else:
-            fan = rand_fan(rng, ParityClass(t % 4), rng.randint(2, 8))
-        for i, j in itertools.permutations(range(1, fan.cfg.m + 1), 2):
-            assert _anchor_segment(fan, i, j) == ref_anchor_segment(fan, i, j)
+    fans = 0
+    for reach in (None, Fraction(1, 10**6), Fraction(10**6)):
+        for t in range(72):
+            m = 2 + t % 9
+            if t % 2:
+                fan = rand_loaded(rng, m, basepoint=True, reach=reach)
+            else:
+                fan = rand_fan(rng, ParityClass(t // 2 % 4), m, reach)
+            for i, j in itertools.permutations(range(1, m + 1), 2):
+                assert _anchor_segment(fan, i, j) == ref_anchor_segment(fan, i, j), (i, j)
+            fans += 1
+    assert fans >= 200
 
 
 @pytest.mark.parametrize("parity", all_parities(), ids=lambda p: f"n{p.n_mod_4}")

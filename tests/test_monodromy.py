@@ -8,6 +8,7 @@ from braidmono import (
     braid_act_word,
     character,
     character_transform,
+    cover_character,
     cover_example,
     kernel_basis,
     parse_braid,
@@ -207,3 +208,19 @@ def test_cover_gluing_formula():
 def test_cover_transpose_identity():
     _, _, out = cover_example()
     assert mat_transpose(out["ab"]) == out["ba"]
+
+
+def test_cover_character_reduces_exponents():
+    assignment, cycles, out = cover_example()
+    big = cover_character(assignment, cycles, [("a", 10**12)])
+    assert big == cover_character(assignment, cycles, [("a", 10**12 % 2)]) == out["1"]
+    assert cover_character(assignment, cycles, [("a", 10**12 + 1)]) == out["a"]
+    assert cover_character(assignment, cycles, [("a", -3), ("b", -1)]) == out["ab"]
+    three = {"c": {1: 2, 2: 3, 3: 1, 4: 5, 5: 4}}  # order 6
+    for e in range(-13, 14):
+        slow = [("c", 1 if e > 0 else -1)] * abs(e)
+        assert cover_character(three, cycles, [("c", e)]) == cover_character(
+            three, cycles, slow
+        ), e
+    with pytest.raises(ValueError, match="not a bijection"):
+        cover_character({"c": {1: 2}}, cycles, [("c", 1)])

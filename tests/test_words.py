@@ -61,6 +61,37 @@ def test_pow():
     assert g ** 0 == FreeWord.identity(3)
 
 
+def repeated(w, n):
+    out = FreeWord.identity(w.m)
+    for _ in range(abs(n)):
+        out = out * (w if n > 0 else w.inverse())
+    return out
+
+
+@pytest.mark.parametrize(
+    "text", ["g1 g2 g1'", "g1^2 g2 g1'", "g1 g2 g1", "g2^-3", "1", "g1 g2 g3 g2' g1'"]
+)
+def test_pow_matches_repeated_products(text):
+    w = parse_word(text, 3)
+    for n in range(-9, 10):
+        assert w ** n == repeated(w, n), n
+
+
+@given(pairs_st)
+def test_pow_random_words(pairs):
+    w = FreeWord.make(4, pairs)
+    for n in range(-9, 10):
+        assert w ** n == repeated(w, n)
+
+
+def test_pow_of_conjugate_is_closed_form():
+    w = parse_word("g1 g2^3 g1'", 3)
+    assert (w ** (10**12)).letters == ((1, 1), (2, 3 * 10**12), (1, -1))
+    s2 = parse_braid("s2", 3)
+    want = FreeWord.make(3, [(1, 1), (2, 10**12), (1, -1)])
+    assert braid_act_word(s2, FreeWord.gen(3, 1, 10**12)) == want
+
+
 def test_braid_word_validation():
     with pytest.raises(WordError):
         BraidWord(3, (("s", 1, 1),))  # sigma indices start at 2
