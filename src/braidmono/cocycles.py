@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .words import BraidWord, FreeWord, WordError, braid_act_word
+from .words import BraidWord, FreeWord, WordError, braid_act_word, pl_letter
 from .groupring import GroupRingElt, LaurentElt
 from .matrices import MonomialGammaMatrix, RingMatrix
 from .braids import braid_permutation
@@ -24,21 +24,13 @@ def _letter_word(m: int, kind: str, k: int, e: int) -> BraidWord:
 
 
 def _cocycle_letter(m: int, kind: str, k: int, e: int) -> MonomialGammaMatrix:
-    """Cocycle value on a single braid letter."""
-    if kind == "e":
-        entries = [FreeWord.identity(m)] * m
-        entries[k - 1] = FreeWord.gen(m, k, e)
-        return MonomialGammaMatrix(m, tuple(range(1, m + 1)), tuple(entries))
-    # sigma_k: swap columns k-1 and k; s_{k-1} = g_{k-1}^{-1} lands at row k
+    """Cocycle value on a single braid letter, from words.pl_letter."""
+    c, r, i, x = pl_letter(kind, k, e)
     perm = list(range(1, m + 1))
-    perm[k - 2], perm[k - 1] = perm[k - 1], perm[k - 2]
+    perm[c], perm[r] = r + 1, c + 1
     entries = [FreeWord.identity(m)] * m
-    entries[k - 2] = FreeWord.gen(m, k - 1, -1)
-    pos = MonomialGammaMatrix(m, tuple(perm), tuple(entries))
-    if e == 1:
-        return pos
-    # derived closed form for inverse letters
-    return pos.invert().act(_letter_word(m, kind, k, -1))
+    entries[c] = FreeWord.gen(m, i, x)
+    return MonomialGammaMatrix(m, tuple(perm), tuple(entries))
 
 
 def pl_cocycle(b: BraidWord) -> MonomialGammaMatrix:

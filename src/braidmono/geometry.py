@@ -6,11 +6,12 @@ chains around them.
 (orientation is invariant under positive scaling) and tabulates the sign of
 every orientation and tangent side, as bitmasks of points.  The predicates
 below only read those tables, so they are exact without any Fraction
-arithmetic.  Convex hulls are memoised per active subset on the
-configuration.  Fan configurations hand their already-scaled coordinates
-to the same tabulation core, and `reconstruct` reads every anchor off the
-table: for clockwise fan indices i < j, the straight path s(z_i, z_j)
-crosses ray k beyond z_k exactly when k lies in left[j][i] and i < k < j.
+arithmetic.  Hull vertices come off the same table, memoised per active
+subset on the configuration.  Fan configurations hand their already-scaled
+coordinates to the same tabulation core, and `reconstruct` reads every
+anchor off the table: for clockwise fan indices i < j, the straight path
+s(z_i, z_j) crosses ray k beyond z_k exactly when k lies in left[j][i] and
+i < k < j.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class AdmissibleConfig:
                        the orientation-sign table, one row per (a, b).
       tangent_side[w]  (the points a with sign(cross(z_a - z_w, v_w)) = +1,
                        those with -1).
-      lex_order        point indices by increasing (x, y).
       hulls            extremal points per active subset, filled lazily.
     """
 
@@ -80,7 +80,6 @@ class AdmissibleConfig:
     parity: ParityClass
     left: tuple = field(compare=False, repr=False)
     tangent_side: tuple = field(compare=False, repr=False)
-    lex_order: tuple = field(compare=False, repr=False)
     hulls: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -88,8 +87,8 @@ class AdmissibleConfig:
         return len(self.points)
 
     def mask(self, indices=None) -> int:
-        """The bitmask of `indices` (1-based), or of all points."""
-        if not indices:
+        """The bitmask of `indices` (1-based), or of all points when None."""
+        if indices is None:
             return (1 << (self.m + 1)) - 2
         out = 0
         for k in indices:
@@ -159,7 +158,6 @@ def _tabulate(pts, tans, parity, xy, dirs) -> AdmissibleConfig:
         parity,
         tuple(map(tuple, left)),
         tuple(sides),
-        tuple(sorted(range(1, m + 1), key=xy.__getitem__)),
     )
 
 
@@ -195,30 +193,20 @@ def extremal_points(cfg: AdmissibleConfig, indices=None) -> list:
     """Indices (1-based, ascending) of convex-hull vertices of the
     configuration, or of the subset `indices` when given.
 
-    Gift wrapping over the orientation table, memoised per subset.
+    p is a vertex iff p -> q is a hull edge for some q, i.e. no point of
+    the subset lies left of q -> p; below 3 points, every point is one.
+    Memoised per subset.
     """
     pool = cfg.mask(indices)
     hull = cfg.hulls.get(pool)
     if hull is None:
-        hull = cfg.hulls[pool] = _gift_wrap(cfg, pool)
+        members = [k for k in range(1, cfg.m + 1) if pool >> k & 1]
+        left = cfg.left
+        hull = cfg.hulls[pool] = tuple(
+            p for p in members
+            if len(members) < 3 or any(q != p and not left[q][p] & pool for q in members)
+        )
     return list(hull)
-
-
-def _gift_wrap(cfg: AdmissibleConfig, pool: int) -> tuple:
-    members = [k for k in range(1, cfg.m + 1) if pool >> k & 1]
-    if len(members) < 3:
-        return tuple(members)
-    left = cfg.left
-    start = next(k for k in cfg.lex_order if pool >> k & 1)  # lowest-leftmost
-    hull = [start]
-    p = start
-    while True:
-        # the next vertex counterclockwise has no point of the pool on its right
-        q = next(q for q in members if q != p and not left[q][p] & pool)
-        if q == start:
-            return tuple(sorted(hull))
-        hull.append(q)
-        p = q
 
 
 def angular_order(cfg: AdmissibleConfig, e: int, indices=None) -> list:

@@ -155,7 +155,7 @@ class _Evaluator:
         self.q = data.q
         p = data.cfg.parity
         self.sgn, self.eps, self.diag = p.sgn, p.eps, p.diag
-        self.bsign = 1 if p.n_mod_4 % 2 == 1 else -1  # (-1)^{n+1}
+        self.bsign = -p.sgn  # (-1)^{n+1}
         self.rng = rng
         self.steps = max_steps
         self.memo: dict = {}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import lcm
 
-from .words import BraidWord, FreeWord, WordError
+from .words import BraidWord, FreeWord, WordError, pl_letter
 
 
 class ParityError(ValueError):
@@ -159,13 +159,9 @@ def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool):
 
     On one letter S = P + t e_i e_i^T, where P swaps columns i and j
     (P = I when i = j) and t = -s N[i][j]: column i of S is column j of
-    rho_N(g^{-1}) for the one nontrivial entry g of the letter's monomial
-    cocycle.  With 0-based i, j:
-
-        s_k      i = k-2, j = k-1, s = eps        (entry g_{k-1}^{-1})
-        s_k^-1   i = k-1, j = k-2, s = sgn*eps    (entry g_k)
-        e_k      i = j = k-1,      s = sgn*eps    (entry g_k)
-        e_k^-1   i = j = k-1,      s = eps        (entry g_k^{-1})
+    rho_N(g^{-1}), where the letter's monomial cocycle holds g = g_a^x at
+    row j of column i, (i, j, a, x) = words.pl_letter(letter).  So s = eps
+    for x = -1 and s = sgn*eps for x = +1.
 
     N <- S^T N S and S <- S * S_letter each cost O(m) per letter.  Returns
     (S, rows of sigma^* N); S is [] unless with_S.
@@ -173,21 +169,18 @@ def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool):
     if sigma.m != N.m:
         raise WordError(f"strand count {sigma.m} vs matrix size {N.m}")
     par = N.parity
+    s_of = {-1: par.eps, 1: par.sgn * par.eps}
     rows = N.rows()
     S = mat_eye(N.m) if with_S else []
     for kind, k, e in sigma.letters:
-        if kind == "s":
-            i, j = (k - 2, k - 1) if e > 0 else (k - 1, k - 2)
-        else:
-            i = j = k - 1
-        s = par.eps if (kind == "s") == (e > 0) else par.sgn * par.eps
-        t = -s * rows[i][j]
+        i, j, _, x = pl_letter(kind, k, e)
+        t = -s_of[x] * rows[i][j]
         # times S_letter on the right: column j takes column i, column i
         # becomes column j + t * column i
         for r in chain(rows, S):
             r[j], r[i] = r[i], r[j] + t * r[i]
         # times S_letter^T on the left: the same on rows of N
-        rows[j], rows[i] = rows[i], [x + t * y for x, y in zip(rows[j], rows[i])]
+        rows[j], rows[i] = rows[i], [a + t * b for a, b in zip(rows[j], rows[i])]
     return S, rows
 
 

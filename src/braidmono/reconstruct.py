@@ -60,7 +60,7 @@ class AnchorWord:
     word: FreeWord
 
 
-def build_fan_config(points, z0, parity: ParityClass, tangents=None) -> FanConfiguration:
+def build_fan_config(points, z0, parity: ParityClass) -> FanConfiguration:
     """Index points clockwise as seen from z0 and aim all tangents at z0.
 
     Requires: points pairwise distinct, no three collinear, no two collinear
@@ -68,8 +68,6 @@ def build_fan_config(points, z0, parity: ParityClass, tangents=None) -> FanConfi
     view directions span less than a half turn and straight hops between
     angular neighbours cross no third ray).
     """
-    if tangents is not None:
-        raise GeometryError("only basepoint-aimed tangents are supported")
     z0 = z0 if isinstance(z0, RationalPoint) else RationalPoint.of(*z0)
     pts = [
         p if isinstance(p, RationalPoint) else RationalPoint.of(*p) for p in points
@@ -111,14 +109,20 @@ def build_fan_config(points, z0, parity: ParityClass, tangents=None) -> FanConfi
     return FanConfiguration(cfg, z0, tuple(c + 1 for c in ccw))
 
 
+def _anchor_columns(fan: FanConfiguration, i: int, j: int) -> list:
+    """0-based [i, k_1, ..., k_r] for i < j: anchor s(z_{i+1}, z_{j+1}) is
+    g_{i+1} g_{k_1+1} ... g_{k_r+1} (module docstring)."""
+    inside = fan.cfg.left[j + 1][i + 1]
+    return [i, *(k for k in range(i + 1, j) if inside >> (k + 1) & 1)]
+
+
 def _anchor_segment(fan: FanConfiguration, i: int, j: int) -> FreeWord:
     """Anchor of the straight generator s(z_i, z_j), read off the
-    orientation table (module docstring)."""
+    orientation table."""
     if i > j:
         return _anchor_segment(fan, j, i).inverse()
-    inside = fan.cfg.left[j][i]
-    letters = [(i, 1)] + [(k, 1) for k in range(i + 1, j) if inside >> k & 1]
-    return FreeWord(fan.cfg.m, tuple(letters))
+    cols = _anchor_columns(fan, i - 1, j - 1)
+    return FreeWord(fan.cfg.m, tuple((k + 1, 1) for k in cols))
 
 
 def anchor_word(fan: FanConfiguration, w: GroupoidWord) -> AnchorWord:
@@ -150,8 +154,8 @@ def _interval_push(fan: FanConfiguration, rows, i: int, j: int) -> int:
     reads the row only at those step columns and only column j is wanted,
     so it runs on those columns alone: O(r^2) for r interior points.
     """
-    inside = fan.cfg.left[j + 1][i + 1]
-    cols = [i, *(k for k in range(i + 1, j) if inside >> (k + 1) & 1), j]
+    cols = _anchor_columns(fan, i, j)
+    cols.append(j)
     eps = fan.cfg.parity.eps
     steps = [(t, eps, [rows[a][b] for b in cols]) for t, a in enumerate(cols[:-1])]
     return _times_rho(steps[0][2], steps)[-1]

@@ -27,11 +27,12 @@ def _excerpt(r: str) -> str:
 
 def parse_rational(s, source: str = "") -> Fraction:
     """A rational from an int, an integral float or a "p/q" string.  Other
-    floats are refused: their binary value is not the decimal written.
-    Errors start with source, when given."""
+    floats are refused, exact or not.  Errors start with source, when given."""
     where = f"{source}: " if source else ""
     if isinstance(s, float) and not s.is_integer():
-        raise SerializeError(f'{where}float {s!r} is inexact, write it as a "p/q" string')
+        raise SerializeError(
+            f'{where}float {s!r} is not an integer, write it as a "p/q" string'
+        )
     try:
         return Fraction(s)
     except ZeroDivisionError:
@@ -43,8 +44,7 @@ def parse_rational(s, source: str = "") -> Fraction:
 
 
 def rational_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def _too_many_digits(source: str) -> SerializeError:
@@ -200,4 +200,4 @@ def monomial_json(mono: MonomialGammaMatrix) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False)
+    return json.dumps(obj)

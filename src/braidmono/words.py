@@ -16,6 +16,11 @@ class WordError(ValueError):
     pass
 
 
+def _check_strands(m: int) -> None:
+    if m < 1:
+        raise WordError(f"strand count {m} is below 1")
+
+
 def _reduce(pairs):
     out = []
     for i, e in pairs:
@@ -38,6 +43,7 @@ class FreeWord:
     letters: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        _check_strands(self.m)
         for i, e in self.letters:
             if not 1 <= i <= self.m:
                 raise WordError(f"generator index {i} out of range 1..{self.m}")
@@ -159,6 +165,7 @@ class BraidWord:
     letters: tuple[tuple[str, int, int], ...]
 
     def __post_init__(self):
+        _check_strands(self.m)
         for kind, i, e in self.letters:
             if type(i) is not int:
                 raise WordError(f"braid letter index {i!r} is not an int")
@@ -236,6 +243,15 @@ def format_braid(b: BraidWord) -> str:
 
 
 # --- braid action on the free group ---------------------------------------
+
+def pl_letter(kind: str, k: int, e: int) -> tuple:
+    """The path-change cocycle on one braid letter, as (c, r, i, x): its
+    monomial matrix has g_i^x at row r of column c (0-based), 1 on the
+    diagonal elsewhere, and for sigma letters also 1 at row c of column r."""
+    if kind == "e":
+        return k - 1, k - 1, k, e
+    return (k - 2, k - 1, k - 1, -1) if e > 0 else (k - 1, k - 2, k, 1)
+
 
 def _act_letter_on_gen(kind: str, k: int, exp: int, i: int, m: int) -> FreeWord:
     """Image of g_i under a single braid letter."""

@@ -220,6 +220,18 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("argv", [
+    ["magnus", "--m", "-1", "1"],
+    ["rep", "gassner", "--m", "-4", "1"],
+    ["pl-cocycle", "--m", "-2", "1"],
+    ["pl-cocycle", "--m", "0", ""],
+])
+def test_strand_count_below_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert one_line_error(code, out, err), err
+    assert err == f"error: strand count {argv[-2]} is below 1\n"
+
+
+@pytest.mark.parametrize("argv", [
     "act --n-class 1 --matrix {ragged} s2",
     "act --n-class 1 --matrix {scalar} s2",
     "forward --config {scalar} --matrix {N}",

@@ -109,6 +109,18 @@ def test_extremal_points():
     assert extremal_points(cfg, indices=(1, 2, 5)) == [1, 2, 5]
 
 
+def test_empty_subset_is_empty():
+    # point 4 lies inside the triangle of the other three
+    cfg = cfg_of(
+        [(0, 0), (4, 0), (0, 4), (1, 1)], [(-1, -1), (1, -1), (-1, 1), (1, -3)]
+    )
+    assert extremal_points(cfg) == [1, 2, 3]
+    assert not is_local_triangle(cfg, 1, 2, 3)
+    assert extremal_points(cfg, []) == []
+    assert angular_order(cfg, 1, []) == []
+    assert is_local_triangle(cfg, 1, 2, 3, indices=[])
+
+
 def test_angular_order_and_chain():
     pts = QUAD_CENTER
     cfg = cfg_of(pts, generic_tangents(pts))

@@ -224,7 +224,7 @@ def test_triangle_predicates_match_reference():
 def test_subset_predicates_match_reference():
     for cfg in configs(3, 24):
         everything = range(1, cfg.m + 1)
-        for r in range(1, cfg.m + 1):
+        for r in range(cfg.m + 1):
             for subset in itertools.combinations(everything, r):
                 assert extremal_points(cfg, subset) == ref_extremal_points(cfg, subset)
                 for e in subset:

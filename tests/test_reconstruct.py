@@ -46,11 +46,6 @@ def test_fan_rejects_basepoint_inside_hull():
         build_fan_config([(-5, 4), (5, 4), (0, -6)], (0, 0), P1)
 
 
-def test_fan_rejects_custom_tangents():
-    with pytest.raises(GeometryError):
-        build_fan_config([(0, 4)], (0, -1), P1, tangents=[(1, 1)])
-
-
 def test_fan_single_point():
     fan = build_fan_config([(3, 4)], (0, -1), P1)
     assert fan.order == (1,)

@@ -47,6 +47,11 @@ def test_json_floats(tmp_path):
     with pytest.raises(SerializeError) as exc:
         load_config(str(f))
     assert str(exc.value) == f'{f}: float 4.1 is inexact, write it as a "p/q" string'
+    # an exact float that is not an integer is refused too
+    f.write_text(json.dumps(dict(obj, points=[[-2, 1.5], [0, 5]])))
+    with pytest.raises(SerializeError) as exc:
+        load_config(str(f))
+    assert str(exc.value) == f'{f}: float 1.5 is not an integer, write it as a "p/q" string'
     # an integral float is exact
     obj["points"][0][1] = 4.0
     assert load_config(obj).cfg.points[0].y == 4
@@ -98,6 +103,15 @@ def test_load_config_explicit_tangents():
     assert load_config(config_json(cfg)) == cfg
     with pytest.raises(SerializeError):
         require_fan(cfg)
+
+
+def test_load_config_refuses_basepoint_with_tangents():
+    # a fan's tangents are forced toward its basepoint
+    obj = {"n_class": 1, "points": [["0", "4"]], "basepoint": ["0", "-1"]}
+    with pytest.raises(SerializeError) as exc:
+        load_config(dict(obj, tangents=[["1", "1"]]))
+    assert str(exc.value) == "config: give either basepoint or tangents, not both"
+    assert load_config(dict(obj, tangents=None)).cfg.tangents == ((0, -5),)
 
 
 def test_load_config_errors():
