@@ -16,6 +16,8 @@ i < k < j.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -27,18 +29,35 @@ class GeometryError(ValueError):
     pass
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction; ints, integral
+    floats and integer strings build no Fraction.  A decimal string whose
+    exponent passes the interpreter's limit on integer digits is refused:
+    Fraction would compute 10**exponent."""
+    if type(x) is int or isinstance(x, str) or isinstance(x, float) and x.is_integer():
+        try:
+            return int(x)
+        except ValueError:  # a "p/q" or decimal string, or no number
+            e, limit = _EXPONENT.search(x), sys.get_int_max_str_digits()
+            if e and limit and (len(e[1]) > limit or int(e[1]) > limit):
+                raise ValueError(f"exponent past the {limit}-digit limit") from None
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class RationalPoint:
-    x: Fraction
-    y: Fraction
+    """Exact coordinates: ints, or Fractions when not integral (_exact)."""
+
+    x: int | Fraction
+    y: int | Fraction
 
     @staticmethod
     def of(x, y) -> "RationalPoint":
-        return RationalPoint(_frac(x), _frac(y))
+        return RationalPoint(_exact(x), _exact(y))
 
 
 def orient(a: RationalPoint, b: RationalPoint, c: RationalPoint) -> int:
@@ -51,12 +70,12 @@ def orient(a: RationalPoint, b: RationalPoint, c: RationalPoint) -> int:
     return (d > 0) - (d < 0)
 
 
-def scale_to_int(coords) -> list:
-    """The rationals `coords` times the lcm of their denominators: integers
-    in the same ratios."""
-    fracs = [_frac(c) for c in coords]
-    s = lcm(*(c.denominator for c in fracs))
-    return [c.numerator * (s // c.denominator) for c in fracs]
+def scale_to_int(coords):
+    """(coords times s, s) for the exact rationals coords and s the lcm of
+    their denominators: integers in the same ratios.  Integers come back
+    as they are, with s = 1."""
+    s = lcm(*(c.denominator for c in coords))
+    return (coords if s == 1 else [c.numerator * (s // c.denominator) for c in coords]), s
 
 
 @dataclass(frozen=True)
@@ -100,22 +119,23 @@ def validate_admissible(points, tangents, parity: ParityClass) -> AdmissibleConf
     pts = tuple(
         p if isinstance(p, RationalPoint) else RationalPoint.of(*p) for p in points
     )
-    tans = tuple((_frac(vx), _frac(vy)) for vx, vy in tangents)
+    tans = tuple((_exact(vx), _exact(vy)) for vx, vy in tangents)
     if len(tans) != len(pts):
         raise GeometryError("need one tangent per point")
     for v in tans:
         if v == (0, 0):
             raise GeometryError("tangent vectors must be nonzero")
-    flat = scale_to_int([c for p in pts for c in (p.x, p.y)])
+    flat = scale_to_int([c for p in pts for c in (p.x, p.y)])[0]
     xy = list(zip(flat[::2], flat[1::2]))
-    return _tabulate(pts, tans, parity, xy, [scale_to_int(v) for v in tans])
+    return _tabulate(pts, tans, parity, xy, [scale_to_int(v)[0] for v in tans])
 
 
 def _tabulate(pts, tans, parity, xy, dirs) -> AdmissibleConfig:
     """The configuration (pts, tans) with its sign tables, computed from xy,
     the points in integer coordinates at one common scale, and dirs, each
     tangent as an integer direction; checks distinctness, collinearity and
-    aimed tangents in that order."""
+    aimed tangents in that order.  dirs is None for a fan in clockwise
+    order, whose tangent i has the points before i on its + side."""
     m = len(xy)
     for i in range(m):
         for j in range(i + 1, m):
@@ -137,6 +157,9 @@ def _tabulate(pts, tans, parity, xy, dirs) -> AdmissibleConfig:
                 left[c][a] |= 1 << b
     sides = [(0, 0)]
     for i in range(1, m + 1):
+        if dirs is None:
+            sides.append(((1 << i) - 2, (1 << (m + 1)) - (1 << (i + 1))))
+            continue
         vx, vy = dirs[i - 1]
         xi, yi = xy[i]
         pos = neg = 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from math import lcm
+from operator import neg
 
 from .words import BraidWord, FreeWord, WordError, pl_letter
 
@@ -86,23 +87,24 @@ class IntersectionMatrix:
 
 
 def validate_N(parity: ParityClass, rows) -> IntersectionMatrix:
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    if any(len(r) != m for r in rows):
+    rows = tuple(map(tuple, rows))
+    m, sgn, diag = len(rows), parity.sgn, parity.diag
+    if set(map(len, rows)) - {m}:
         raise ParityError("matrix must be square")
-    sgn, diag = parity.sgn, parity.diag
-    for i in range(m):
-        if rows[i][i] != diag:
-            raise ParityError(
-                f"diagonal entry ({i + 1},{i + 1}) = {rows[i][i]}, must be {diag}"
-            )
-        for j in range(m):
-            if rows[i][j] != sgn * rows[j][i]:
+    flat, flip = [*chain(*rows)], [*chain(*zip(*rows))]  # flip: the transpose
+    if flat != (flip if sgn > 0 else [*map(neg, flip)]) or flat[:: m + 1] != [diag] * m:
+        for i in range(m):  # name the first entry off sgn * transpose or diag
+            if rows[i][i] != diag:
                 raise ParityError(
-                    f"symmetry violated at ({i + 1},{j + 1}): "
-                    f"{rows[i][j]} != {sgn}*{rows[j][i]}"
+                    f"diagonal entry ({i + 1},{i + 1}) = {rows[i][i]}, must be {diag}"
                 )
-    return IntersectionMatrix(parity, tuple(map(tuple, rows)))
+            for j in range(m):
+                if rows[i][j] != sgn * rows[j][i]:
+                    raise ParityError(
+                        f"symmetry violated at ({i + 1},{j + 1}): "
+                        f"{rows[i][j]} != {sgn}*{rows[j][i]}"
+                    )
+    return IntersectionMatrix(parity, rows)
 
 
 # --- integer kernels: rho, characters and the cocycle fold ------------------

@@ -26,12 +26,15 @@ Q, and the telescoping n_ij = chi^Q(c_i c_j^{-1}) along the hop words for N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import itemgetter
 
 from .words import FreeWord
 from .geometry import (
     AdmissibleConfig,
     GeometryError,
     RationalPoint,
+    _exact,
     _tabulate,
     scale_to_int,
 )
@@ -73,7 +76,7 @@ def build_fan_config(points, z0, parity: ParityClass) -> FanConfiguration:
         p if isinstance(p, RationalPoint) else RationalPoint.of(*p) for p in points
     ]
     m = len(pts)
-    flat = scale_to_int([c for p in (z0, *pts) for c in (p.x, p.y)])
+    flat, scale = scale_to_int([c for p in (z0, *pts) for c in (p.x, p.y)])
     xy = list(zip(flat[::2], flat[1::2]))
     bx, by = xy[0]
     dirs = [(x - bx, y - by) for x, y in xy[1:]]
@@ -98,14 +101,11 @@ def build_fan_config(points, z0, parity: ParityClass) -> FanConfiguration:
     idx = [0] * m
     for input_pos, fan_pos in enumerate(ccw):
         idx[fan_pos] = input_pos
-    ordered = [pts[t] for t in idx]
-    cfg = _tabulate(
-        ordered,
-        [(z0.x - p.x, z0.y - p.y) for p in ordered],
-        parity,
-        [xy[t + 1] for t in idx],
-        [(-dirs[t][0], -dirs[t][1]) for t in idx],
-    )
+    # the tangent z0 - p is minus the direction to p at the common scale, over it
+    tans = [(-dirs[t][0], -dirs[t][1]) for t in idx]
+    if scale != 1:
+        tans = [(_exact(Fraction(x, scale)), _exact(Fraction(y, scale))) for x, y in tans]
+    cfg = _tabulate([pts[t] for t in idx], tans, parity, [xy[t + 1] for t in idx], None)
     return FanConfiguration(cfg, z0, tuple(c + 1 for c in ccw))
 
 
@@ -113,7 +113,7 @@ def _anchor_columns(fan: FanConfiguration, i: int, j: int) -> list:
     """0-based [i, k_1, ..., k_r] for i < j: anchor s(z_{i+1}, z_{j+1}) is
     g_{i+1} g_{k_1+1} ... g_{k_r+1} (module docstring)."""
     inside = fan.cfg.left[j + 1][i + 1]
-    return [i, *(k for k in range(i + 1, j) if inside >> (k + 1) & 1)]
+    return [i] + [k for k in range(i + 1, j) if inside >> (k + 1) & 1]
 
 
 def _anchor_segment(fan: FanConfiguration, i: int, j: int) -> FreeWord:
@@ -155,9 +155,8 @@ def _interval_push(fan: FanConfiguration, rows, i: int, j: int) -> int:
     so it runs on those columns alone: O(r^2) for r interior points.
     """
     cols = _anchor_columns(fan, i, j)
-    cols.append(j)
-    eps = fan.cfg.parity.eps
-    steps = [(t, eps, [rows[a][b] for b in cols]) for t, a in enumerate(cols[:-1])]
+    window, eps = itemgetter(*cols, j), fan.cfg.parity.eps
+    steps = [(t, eps, window(rows[a])) for t, a in enumerate(cols)]
     return _times_rho(steps[0][2], steps)[-1]
 
 

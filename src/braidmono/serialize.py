@@ -1,6 +1,10 @@
 """JSON (de)serialization shared by the CLI: exact rationals as "p/q"
 strings, integer matrices tagged with their parity class, configurations
 with optional basepoint, and string rendering of ring-valued matrices.
+
+A coordinate reads as an int when it is integral and as a Fraction only
+when it is not (geometry._exact).  JSON booleans are refused, as is a
+decimal string whose exponent passes sys.get_int_max_str_digits().
 """
 
 from __future__ import annotations
@@ -8,9 +12,8 @@ from __future__ import annotations
 import json
 import sys
 from decimal import Decimal
-from fractions import Fraction
 
-from .geometry import AdmissibleConfig, GeometryError, validate_admissible
+from .geometry import AdmissibleConfig, RationalPoint, _exact, validate_admissible
 from .matrices import MonomialGammaMatrix, RingMatrix
 from .monodromy import IntersectionMatrix, ParityClass, validate_N
 from .reconstruct import FanConfiguration, build_fan_config
@@ -25,26 +28,29 @@ def _excerpt(r: str) -> str:
     return r if len(r) <= 32 else f"{r[:24]}... ({len(r)} chars)"
 
 
-def parse_rational(s, source: str = "") -> Fraction:
-    """A rational from an int, an integral float or a "p/q" string.  Other
-    floats are refused, exact or not.  Errors start with source, when given."""
+def parse_rational(s, source: str = ""):
+    """An int or, when not integral, a Fraction from an int, an integral
+    float or a "p/q" or decimal string (geometry._exact).  Booleans and
+    other floats are refused.  Errors start with source, when given."""
     where = f"{source}: " if source else ""
     if isinstance(s, float) and not s.is_integer():
         raise SerializeError(
             f'{where}float {s!r} is not an integer, write it as a "p/q" string'
         )
-    try:
-        return Fraction(s)
-    except ZeroDivisionError:
-        reason = "zero denominator"
-    except (ValueError, TypeError) as exc:
-        # Fraction's own message may echo the whole token
-        reason = "not a rational number" if repr(s) in str(exc) else str(exc)
+    reason = "a boolean is not a number"
+    if not isinstance(s, bool):
+        try:
+            return _exact(s)
+        except ZeroDivisionError:
+            reason = "zero denominator"
+        except (ValueError, TypeError) as exc:
+            # Fraction's own message may echo the whole token
+            reason = "not a rational number" if repr(s) in str(exc) else str(exc)
     raise SerializeError(f"{where}bad rational {_excerpt(repr(s))}: {reason}")
 
 
-def rational_str(x: Fraction) -> str:
-    return str(Fraction(x))
+def rational_str(x) -> str:
+    return str(x)  # an int, or a Fraction in lowest terms: "p/q"
 
 
 def _too_many_digits(source: str) -> SerializeError:
@@ -81,12 +87,12 @@ def _to_int(x, source: str) -> int:
     """An int from a JSON integer, an integral float or a decimal string."""
     if isinstance(x, float) and x.is_integer():
         x = int(x)
-    if isinstance(x, (int, str)):
+    if type(x) is int or isinstance(x, str):  # a bool is no integer
         try:
             return int(x)
         except ValueError:
             limit = sys.get_int_max_str_digits()
-            if limit and isinstance(x, str) and len(x.strip().lstrip("+-")) > limit:
+            if limit and len(x.strip().lstrip("+-")) > limit:
                 raise _too_many_digits(source) from None
     raise SerializeError(f"{source}: {_excerpt(repr(x))} is not an integer")
 
@@ -134,11 +140,11 @@ def load_config(obj):
     parity = parse_parity(obj, source)
     if not obj.get("points"):
         raise SerializeError(f'{source}: missing or empty "points"')
-    points = [_parse_point(p, source) for p in _rows(obj, "points", source)]
+    points = [RationalPoint(*_parse_point(p, source)) for p in _rows(obj, "points", source)]
     if "basepoint" in obj:
         if obj.get("tangents") is not None:
             raise SerializeError(f"{source}: give either basepoint or tangents, not both")
-        z0 = _parse_point(obj["basepoint"], source)
+        z0 = RationalPoint(*_parse_point(obj["basepoint"], source))
         return build_fan_config(points, z0, parity)
     if "tangents" in obj:
         tans = [_parse_point(v, source) for v in _rows(obj, "tangents", source)]

@@ -63,7 +63,7 @@ def ref_is_local_triangle(cfg, i, w, j, indices=None):
     a, b, c = P[i - 1], P[w - 1], P[j - 1]
     return not any(
         strictly_inside(P[k - 1], a, b, c)
-        for k in indices or range(1, cfg.m + 1)
+        for k in (range(1, cfg.m + 1) if indices is None else indices)
         if k not in (i, w, j)
     )
 
@@ -239,11 +239,12 @@ def test_subset_predicates_match_reference():
                     for z, a in itertools.combinations(want, 2):
                         assert chain(cfg, e, z, a, subset) == want[want.index(z):want.index(a) + 1]
                         assert chain(cfg, e, a, z, subset) == chain(cfg, e, z, a, subset)[::-1]
-                if r >= 4:
-                    for a, w, b in itertools.permutations(subset, 3):
-                        assert is_local_triangle(cfg, a, w, b, subset) == ref_is_local_triangle(
-                            cfg, a, w, b, subset
-                        )
+                # below 4 points a subset can only block triangles of others
+                corners = subset if r >= 4 else everything
+                for a, w, b in itertools.permutations(corners, 3):
+                    assert is_local_triangle(cfg, a, w, b, subset) == ref_is_local_triangle(
+                        cfg, a, w, b, subset
+                    )
         assert extremal_points(cfg) == ref_extremal_points(cfg, everything)
 
 

@@ -44,6 +44,36 @@ def test_validate_N_rejects():
     validate_N(p1, [[0, 1], [-1, 0]])
 
 
+def ref_parity_error(parity, rows):
+    """The message of the entry-by-entry check: the first entry, in row
+    order, off the forced diagonal or off sgn times its transpose."""
+    for i, row in enumerate(rows):
+        if row[i] != parity.diag:
+            return f"diagonal entry ({i + 1},{i + 1}) = {row[i]}, must be {parity.diag}"
+        for j, x in enumerate(row):
+            if x != parity.sgn * rows[j][i]:
+                return f"symmetry violated at ({i + 1},{j + 1}): {x} != {parity.sgn}*{rows[j][i]}"
+    return None
+
+
+@pytest.mark.parametrize("parity", all_parities(), ids=lambda p: f"n{p.n_mod_4}")
+def test_validate_N_names_first_bad_entry(rng, parity):
+    """The whole-matrix check refuses exactly what the entry loop refuses,
+    naming the same first entry."""
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        rows = [list(r) for r in rand_N(rng, parity, m).n]
+        for _ in range(rng.randint(0, 2)):
+            rows[rng.randrange(m)][rng.randrange(m)] += rng.choice((-2, -1, 1, 2))
+        want = ref_parity_error(parity, rows)
+        if want is None:
+            assert validate_N(parity, rows).rows() == rows
+        else:
+            with pytest.raises(ParityError) as exc:
+                validate_N(parity, rows)
+            assert str(exc.value) == want
+
+
 def test_rho_generator_values(rng):
     p = ParityClass(2)  # eps = -1, sgn = +1
     N = rand_N(rng, p, 3)

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from braidmono import AdmissibleConfig, FanConfiguration, ParityClass
 from braidmono.serialize import (
     SerializeError,
+    _excerpt,
     config_json,
     int_matrix_json,
     load_config,
@@ -74,6 +76,62 @@ def test_json_floats(tmp_path):
     assert load_int_matrix(str(mat)).n == ((0, 1000), (-1000, 0))
     f.write_text('{"n_class": 1, "points": [[-2, 4.0], [1e1, 5]], "basepoint": [0, -1]}')
     assert [p.x for p in load_config(str(f)).cfg.points] == [-2, 10]
+
+
+def test_booleans_are_refused(tmp_path):
+    """JSON true/false are not the numbers 1/0, in a point, in n_class or in
+    a matrix entry; each exits with one line naming the file."""
+    cfg = {"n_class": 1, "points": [["-2", "4"], ["0", "5"]], "basepoint": ["0", "-1"]}
+    mat = {"n_class": 1, "matrix": [[0, 1], [-1, 0]]}
+    f = tmp_path / "in.json"
+    cases = [
+        (load_config, dict(cfg, points=[[True, "4"], ["0", "5"]]), "bad rational True"),
+        (load_config, dict(cfg, basepoint=["0", False]), "bad rational False"),
+        (load_config, dict(cfg, n_class=True), "True is not an integer"),
+        (load_int_matrix, dict(mat, matrix=[[0, True], [-1, 0]]), "True is not an integer"),
+        (load_int_matrix, dict(mat, n_class=False), "False is not an integer"),
+    ]
+    for load, obj, what in cases:
+        f.write_text(json.dumps(obj))
+        with pytest.raises(SerializeError) as exc:
+            load(str(f))
+        msg = str(exc.value)
+        assert msg.startswith(f"{f}: {what}") and "\n" not in msg
+    with pytest.raises(SerializeError, match="a boolean is not a number"):
+        parse_rational(True)
+
+
+def test_huge_exponents_are_refused(tmp_path):
+    """Fraction would compute 10**exponent, so an exponent past the limit on
+    integer digits is refused at once; one within it is read exactly."""
+    limit = sys.get_int_max_str_digits()
+    for token in ("1e50000000", "1e-50000000", f"2E+{limit + 1}", f"1e{limit}1"):
+        with pytest.raises(SerializeError) as exc:
+            parse_rational(token, "cfg.json")
+        assert str(exc.value) == (
+            f"cfg.json: bad rational {_excerpt(repr(token))}: "
+            f"exponent past the {limit}-digit limit"
+        )
+    assert parse_rational(f"1e{limit}") == 10**limit
+    assert parse_rational(f"3e-{limit}") == Fraction(3, 10**limit)
+    assert parse_rational(" 2.5E1_0 ") == 25 * 10**9
+    f = tmp_path / "cfg.json"
+    f.write_text(json.dumps({"n_class": 1, "points": [["1e50000000", "4"]], "basepoint": ["0", "-1"]}))
+    with pytest.raises(SerializeError, match=f"^{f}: bad rational '1e50000000': exponent past"):
+        load_config(str(f))
+
+
+def test_exact_number_rule():
+    """An integral token reads as an int; only a non-integral rational is a
+    Fraction."""
+    for token, want in [(3, 3), (-4.0, -4), ("7", 7), (" +1_000 ", 1000), ("٣", 3),
+                        ("8/2", 4), ("2.0", 2), ("1e3", 1000), ("-6/4", Fraction(-3, 2)),
+                        ("0.25", Fraction(1, 4))]:
+        got = parse_rational(token)
+        assert got == want and type(got) is type(want), token
+    for bad in ("1__0", "_1", "1_", "0x10", "", "inf", "nan"):
+        with pytest.raises(SerializeError):
+            parse_rational(bad)
 
 
 def test_load_config_fan():
