@@ -20,10 +20,12 @@ class Permutation:
             raise ValueError(f"not a permutation: {self.images}")
 
     def __call__(self, i: int) -> int:
+        if not 1 <= i <= len(self.images):
+            raise ValueError(f"point {i} out of range 1..{len(self.images)}")
         return self.images[i - 1]
 
     def is_identity(self) -> bool:
-        return all(self(i) == i for i in range(1, len(self.images) + 1))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
 
 def braid_permutation(b: BraidWord) -> tuple[Permutation, bool]:

@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .words import FreeWord, parse_braid, parse_word
+from .words import MAX_STRANDS, FreeWord, parse_braid, parse_word
 from .cocycles import magnus_cocycle, pl_cocycle, reduce_reps
 from .monodromy import (
     IntersectionMatrix,
@@ -48,21 +48,25 @@ def _printable(cmd: str, name: str, rows):
     return rows
 
 
+def _braid_arg(args):
+    """The braid word of a word command; --m past MAX_STRANDS is refused first."""
+    if args.m > MAX_STRANDS:
+        raise ValueError(f"strand count {args.m} is above {MAX_STRANDS}")
+    return parse_braid(args.word, args.m)
+
+
 def _cmd_pl_cocycle(args) -> int:
-    b = parse_braid(args.word, args.m)
-    _emit(ser.monomial_json(pl_cocycle(b)))
+    _emit(ser.monomial_json(pl_cocycle(_braid_arg(args))))
     return 0
 
 
 def _cmd_magnus(args) -> int:
-    b = parse_braid(args.word, args.m)
-    _emit({"matrix": ser.ring_matrix_json(magnus_cocycle(b))})
+    _emit({"matrix": ser.ring_matrix_json(magnus_cocycle(_braid_arg(args)))})
     return 0
 
 
 def _cmd_rep(args) -> int:
-    b = parse_braid(args.word, args.m)
-    rep = args.rep.replace("-", "_")
+    b, rep = _braid_arg(args), args.rep.replace("-", "_")
     _emit({"rep": args.rep, "matrix": ser.ring_matrix_json(reduce_reps(b, rep))})
     return 0
 

@@ -13,33 +13,27 @@ from __future__ import annotations
 
 from operator import add
 
-from .words import BraidWord, FreeWord, WordError, braid_act_word, pl_letter
+from .words import BraidWord, FreeWord, WordError, pl_letter
+from .words import _act_letter, _images, _inv, _reduce
 from .groupring import GroupRingElt, LaurentElt
 from .matrices import MonomialGammaMatrix, RingMatrix
 from .braids import braid_permutation
 
 
-def _letter_word(m: int, kind: str, k: int, e: int) -> BraidWord:
-    return BraidWord(m, ((kind, k, e),))
-
-
-def _cocycle_letter(m: int, kind: str, k: int, e: int) -> MonomialGammaMatrix:
-    """Cocycle value on a single braid letter, from words.pl_letter."""
-    c, r, i, x = pl_letter(kind, k, e)
-    perm = list(range(1, m + 1))
-    perm[c], perm[r] = r + 1, c + 1
-    entries = [FreeWord.identity(m)] * m
-    entries[c] = FreeWord.gen(m, i, x)
-    return MonomialGammaMatrix(m, tuple(perm), tuple(entries))
-
-
 def pl_cocycle(b: BraidWord) -> MonomialGammaMatrix:
-    """Monomial cocycle value; satisfies S(uv) = S(u) · u_* S(v)."""
-    out = MonomialGammaMatrix.identity(b.m)
-    for kind, k, e in reversed(b.letters):
-        head = _cocycle_letter(b.m, kind, k, e)
-        out = head.compose(out.act(_letter_word(b.m, kind, k, e)))
-    return out
+    """Monomial cocycle value, folded from the left by S(u l) = S(u) · u_*(S(l)).
+    u_*(S(l)) is pl_letter's matrix with g_i^x replaced by u_*(g_i)^x, so
+    column c takes column r times u_*(g_i)^x, column r takes column c, and
+    perm swaps them."""
+    m = b.m
+    perm, cols, img = list(range(1, m + 1)), [()] * m, _images(BraidWord.identity(m))
+    for kind, k, e in b.letters:
+        c, r, i, x = pl_letter(kind, k, e)
+        g = img[i - 1] if x > 0 else _inv(img[i - 1])
+        perm[c], perm[r] = perm[r], perm[c]
+        cols[r], cols[c] = cols[c], _reduce(cols[r] + g)  # c == r for e letters
+        _act_letter(img, kind, k, e)
+    return MonomialGammaMatrix(m, tuple(perm), tuple(FreeWord(m, s) for s in cols))
 
 
 def coboundary_transport(sigma: BraidWord, tau: BraidWord) -> MonomialGammaMatrix:
@@ -51,35 +45,28 @@ def coboundary_transport(sigma: BraidWord, tau: BraidWord) -> MonomialGammaMatri
 
 
 def fox_derivative(a: FreeWord, i: int) -> GroupRingElt:
-    """Free derivative d(a)/d(g_i), with d(gh) = d(g) + g d(h)."""
+    """Free derivative d(a)/d(g_i), with d(gh) = d(g) + g d(h).  A syllable
+    g_i^e after the prefix p adds p (1 + g_i + ... + g_i^(e-1)) for e > 0 and
+    -p (g_i^-1 + ... + g_i^e) for e < 0; p g_i^r is reduced as written."""
     if not 1 <= i <= a.m:
         raise WordError(f"generator index {i} out of range 1..{a.m}")
-    m = a.m
-    acc = GroupRingElt.zero(m)
-    prefix = FreeWord.identity(m)
-    for j, e in a.letters:
+    m, s = a.m, a.letters
+    terms: dict = {}
+    for p, (j, e) in enumerate(s):
         if j == i:
-            # d(g^e) = sum_{r=0}^{e-1} g^r  (e>0),  -sum_{r=1}^{-e} g^{-r} (e<0)
-            terms: dict = {}
-            rng = range(e) if e > 0 else range(e, 0)
             sign = 1 if e > 0 else -1
-            for r in rng:
-                w = prefix * FreeWord.gen(m, i, r)
+            for r in range(e) if e > 0 else range(e, 0):
+                w = FreeWord(m, s[:p] + ((i, r),) if r else s[:p])
                 terms[w] = terms.get(w, 0) + sign
-            acc = acc + GroupRingElt(m, terms)
-        prefix = prefix * FreeWord.gen(m, j, e)
-    return acc
+    return GroupRingElt(m, terms)
 
 
 def magnus_cocycle(b: BraidWord) -> RingMatrix:
     """Group-ring matrix with (i,j) entry conj(d(sigma_* g_j)/d(g_i))."""
     if b.is_framed():
         raise WordError("the Magnus cocycle is defined on unframed braid words")
-    m = b.m
-    images = [braid_act_word(b, FreeWord.gen(m, j)) for j in range(1, m + 1)]
-    return RingMatrix.from_fn(
-        m, lambda i, j: fox_derivative(images[j], i + 1).involute()
-    )
+    images = [FreeWord(b.m, s) for s in _images(b)]
+    return RingMatrix.from_fn(b.m, lambda i, j: fox_derivative(images[j], i + 1).involute())
 
 
 # rep -> (source cocycle, Laurent ring, epsilon letters allowed, pure only)

@@ -181,6 +181,8 @@ class LaurentElt(_SparseRing):
         """t^e (univariate) or t_i^e (multivariate)."""
         if nvars == 0:
             return LaurentElt(0, {(e,): 1})
+        if not 1 <= i <= nvars:
+            raise ValueError(f"variable index {i} out of range 1..{nvars}")
         v = [0] * nvars
         v[i - 1] = e
         return LaurentElt(nvars, {tuple(v): 1})

@@ -35,6 +35,11 @@ def _reduce(pairs):
     return tuple(out)
 
 
+def _inv(s: tuple) -> tuple:
+    """Inverse of a reduced run-length word."""
+    return tuple((i, -e) for i, e in reversed(s))
+
+
 @dataclass(frozen=True)
 class FreeWord:
     """Reduced word in the free group on g_1..g_m."""
@@ -59,9 +64,7 @@ class FreeWord:
 
     @staticmethod
     def gen(m: int, i: int, e: int = 1) -> "FreeWord":
-        if e == 0:
-            return FreeWord(m, ())
-        return FreeWord(m, ((i, e),))
+        return FreeWord.make(m, ((i, e),))
 
     @staticmethod
     def make(m: int, pairs) -> "FreeWord":
@@ -74,7 +77,7 @@ class FreeWord:
         return FreeWord(self.m, _reduce(self.letters + other.letters))
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.m, tuple((i, -e) for i, e in reversed(self.letters)))
+        return FreeWord(self.m, _inv(self.letters))
 
     def __pow__(self, n: int) -> "FreeWord":
         """w^n = u c^n u^-1 with w = u c u^-1 and c cyclically reduced: one
@@ -89,7 +92,7 @@ class FreeWord:
             (a, p), q = c[0], c[-1][1]
             u, c = u + ((a, -q),), ((a, p + q),) + c[1:-1]
         body = ((c[0][0], c[0][1] * n),) if len(c) == 1 else c * n
-        return FreeWord.make(self.m, u + body + tuple((i, -e) for i, e in reversed(u)))
+        return FreeWord.make(self.m, u + body + _inv(u))
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -210,6 +213,7 @@ class BraidWord:
 
 
 MAX_BRAID_POWER = 2**20  # letters one braid token may expand to
+MAX_STRANDS = 1024  # strands a CLI word command accepts: it prints m x m matrices
 
 
 def parse_braid(text: str, m: int) -> BraidWord:
@@ -253,34 +257,32 @@ def pl_letter(kind: str, k: int, e: int) -> tuple:
     return (k - 2, k - 1, k - 1, -1) if e > 0 else (k - 1, k - 2, k, 1)
 
 
-def _act_letter_on_gen(kind: str, k: int, exp: int, i: int, m: int) -> FreeWord:
-    """Image of g_i under a single braid letter."""
+def _act_letter(img: list, kind: str, k: int, e: int) -> None:
+    """Turn img[j] = u_*(g_(j+1)) into (u l)_*(g_(j+1)) = u_*(l_*(g_(j+1))) for
+    the letter l = kind k^e.  sigma_k sends g_(k-1) -> g_(k-1) g_k g_(k-1)^-1
+    and g_k -> g_(k-1); sigma_k^-1 sends g_(k-1) -> g_k and
+    g_k -> g_k^-1 g_(k-1) g_k; e_i fixes every g_j."""
     if kind == "e":
-        return FreeWord.gen(m, i)
-    if exp == 1:
-        if i == k - 1:
-            return FreeWord.make(m, [(k - 1, 1), (k, 1), (k - 1, -1)])
-        if i == k:
-            return FreeWord.gen(m, k - 1)
+        return
+    a, b = img[k - 2], img[k - 1]
+    if e > 0:
+        img[k - 2], img[k - 1] = _reduce(a + b + _inv(a)), a
     else:
-        if i == k - 1:
-            return FreeWord.gen(m, k)
-        if i == k:
-            return FreeWord.make(m, [(k, -1), (k - 1, 1), (k, 1)])
-    return FreeWord.gen(m, i)
+        img[k - 2], img[k - 1] = b, _reduce(_inv(b) + a + b)
 
 
-def _act_letter(kind: str, k: int, exp: int, w: FreeWord) -> FreeWord:
-    out = FreeWord.identity(w.m)
-    for i, e in w.letters:
-        out = out * (_act_letter_on_gen(kind, k, exp, i, w.m) ** e)
-    return out
+def _images(b: BraidWord) -> list:
+    """b_*(g_1), ..., b_*(g_m) as run-length words: _act_letter folded from the left."""
+    img = [((j, 1),) for j in range(1, b.m + 1)]
+    for kind, k, e in b.letters:
+        _act_letter(img, kind, k, e)
+    return img
 
 
 def braid_act_word(b: BraidWord, w: FreeWord) -> FreeWord:
-    """Apply the braid action; letters of b are applied right-to-left."""
+    """Apply the braid action: substitute b_*(g_i) for each g_i of w."""
     if b.m != w.m:
         raise WordError(f"mixed ranks {b.m} and {w.m}")
-    for kind, k, exp in reversed(b.letters):
-        w = _act_letter(kind, k, exp, w)
-    return w
+    img = [FreeWord(b.m, s) for s in _images(b)]
+    pairs = [p for i, e in w.letters for p in (img[i - 1] ** e).letters]
+    return FreeWord.make(b.m, pairs)

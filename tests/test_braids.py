@@ -1,6 +1,7 @@
 import pytest
 
 from braidmono import (
+    Permutation,
     WordError,
     braid_permutation,
     linking_numbers,
@@ -82,3 +83,12 @@ def test_linking_inverse_negates(rng):
         for i in range(4):
             for j in range(4):
                 assert lki.lk[i][j] == -lk.lk[i][j]
+
+
+@pytest.mark.parametrize("i", [0, -2, 4])
+def test_permutation_point_out_of_range(i):
+    # a negative list index would wrap to the last images
+    perm = Permutation((1, 2, 3))
+    with pytest.raises(ValueError, match=f"point {i} out of range 1..3"):
+        perm(i)
+    assert [perm(j) for j in (1, 2, 3)] == [1, 2, 3]

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -229,6 +230,28 @@ def test_strand_count_below_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert one_line_error(code, out, err), err
     assert err == f"error: strand count {argv[-2]} is below 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pl-cocycle", "--m", "1000000000", ""],
+    ["pl-cocycle", "--m", "100000000", "s2"],
+    ["magnus", "--m", "1000000000", "s2"],
+    ["rep", "burau", "--m", "100000", "s2"],
+    ["rep", "linking", "--m", "1025", ""],
+])
+def test_strand_count_above_bound(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert one_line_error(code, out, err), err
+    assert err == f"error: strand count {argv[-2]} is above 1024\n"
+
+
+def test_pl_cocycle_long_word_is_fast(capsys):
+    # (s2 s3')^10: every entry of the cocycle grows exponentially in the
+    # length, so rewriting whole words per letter took 20-35 s here
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pl-cocycle", "--m", "3", " ".join(["s2 s3'"] * 10))
+    assert code == 0 and sorted(json.loads(out)["perm"]) == [1, 2, 3]
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
-"""Random JSON inputs through the CLI: every command either succeeds or
-exits 1 with a single line on stderr, never with a traceback.
+"""Random JSON inputs and random braid words through the CLI: every command
+either succeeds or exits 1 with a single line on stderr, never with a
+traceback.
 
 Inputs start from a coherent fan, N and Q of one parity class and size;
 each file, and each field in it, is then replaced by a random JSON value
@@ -117,3 +118,57 @@ def test_cli_on_random_json(case):
     code, err = run_cli(*case)
     assert code in (0, 1), err
     assert err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+# --- word commands ----------------------------------------------------------
+
+valid_tokens = st.builds(  # sigma letters twice as often: most reps refuse e<i>
+    "{}{}".format,
+    st.sampled_from(["s2", "s3", "s2", "s3", "e1", "e2"]),
+    st.sampled_from(["", "'", "^2", "^-2"]),
+)
+bad_tokens = st.one_of(
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from("segt"),
+        st.integers(-1, 7),
+        st.sampled_from(["", "'", "^0", "^-1", "^1048577", "^-99999999999999999999"]),
+    ),
+    st.sampled_from(["1", "x", "s", "s2^", "e1''", "^3", "s2^+1", "s٣", "S2", "s2'^2"]),
+)
+
+
+@st.composite
+def braid_words(draw):
+    """Up to 6 tokens, half the time with one of them replaced by a token
+    that may be out of range or malformed."""
+    tokens = draw(st.lists(valid_tokens, max_size=6))
+    if tokens and draw(st.booleans()):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(bad_tokens)
+    return " ".join(tokens)
+
+
+word_commands = st.sampled_from(
+    [["pl-cocycle"], ["magnus"]]
+    + [["rep", r] for r in ("burau", "tym", "tym-framed", "gassner", "linking")]
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    word_commands,
+    braid_words(),
+    st.sampled_from([*range(1, 7), 0, -1, -2, 10**9]),
+)
+def test_word_commands_on_random_tokens(cmd, word, m):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([*cmd, "--m", str(m), word])
+    err = err.getvalue()
+    assert code == 0 and err == "" or code == 1 and err.count("\n") == 1, (code, err)
+    assert "Traceback" not in err

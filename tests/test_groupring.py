@@ -111,3 +111,11 @@ def test_abelian_reduce_is_ring_hom(rng):
 def test_abelian_reduce_rejects_unknown():
     with pytest.raises(ValueError):
         abelian_reduce(parse_word("g1", 2), "nope")
+
+
+@pytest.mark.parametrize("i", [0, -1, 4])
+def test_laurent_var_index_out_of_range(i):
+    # a negative list index would wrap to t3 or t2
+    with pytest.raises(ValueError, match=f"variable index {i} out of range 1..3"):
+        LaurentElt.var(3, i)
+    assert LaurentElt.var(3, 3) == LaurentElt(3, {(0, 0, 1): 1})

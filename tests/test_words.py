@@ -151,6 +151,8 @@ def test_action_on_generators():
     assert braid_act_word(s2i, FreeWord.gen(m, 2)) == parse_word("g2' g1 g2", m)
     # framing letters act trivially
     assert braid_act_word(parse_braid("e2^5", m), parse_word("g1 g2", m)) == parse_word("g1 g2", m)
+    with pytest.raises(WordError, match="mixed ranks 3 and 2"):
+        braid_act_word(s2, FreeWord.gen(2, 1))
 
 
 def test_action_is_automorphism(rng):
