@@ -1,6 +1,6 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 input/validation error, 2 internal invariant
+Exit codes: 0 success, 1 input, usage or validation error, 2 internal invariant
 violation (a bug in the library, not in the input).
 """
 
@@ -142,8 +142,13 @@ def _cmd_cover_example(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors, subcommands' too, exit 1 in main
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="braidmono",
         description="Exact braid-group cocycles, monodromy characters, and "
         "reconstruction of intersection matrices from straight-line data.",
@@ -210,8 +215,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

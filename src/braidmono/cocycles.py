@@ -37,11 +37,10 @@ def pl_cocycle(b: BraidWord) -> MonomialGammaMatrix:
 
 
 def coboundary_transport(sigma: BraidWord, tau: BraidWord) -> MonomialGammaMatrix:
-    """S_c(tau)^{-1} · S_c(sigma) · sigma_* S_c(tau)."""
+    """S_c(tau)^{-1} · S_c(sigma) · sigma_* S_c(tau) = S_c(tau)^{-1} · S_c(sigma tau)."""
     if sigma.m != tau.m:
         raise WordError(f"mixed strand counts {sigma.m} and {tau.m}")
-    st = pl_cocycle(tau)
-    return st.invert().compose(pl_cocycle(sigma)).compose(st.act(sigma))
+    return pl_cocycle(tau).invert().compose(pl_cocycle(sigma * tau))
 
 
 def fox_derivative(a: FreeWord, i: int) -> GroupRingElt:
@@ -78,18 +77,14 @@ _REPS = {
     "linking": ("pl", "multivariate", False, True),
 }
 
-# Reduced value of sigma_k^e on strands a = k-1, b = k: the identity outside
-# the 2x2 block (X_aa, X_ab, X_ba, X_bb); an entry is a sum of terms
+# Reduced Magnus value of sigma_k^e on strands a = k-1, b = k: the identity
+# outside the 2x2 block (X_aa, X_ab, X_ba, X_bb); an entry is a sum of terms
 # (c, p, q) = c * t_a^p * t_b^q.
-#   magnus  s:  [[1 - t_b, 1], [t_a, 0]]    s': [[0, t_b^-1], [1, (t_a - 1) t_b^-1]]
-#   pl      s:  [[0, 1], [t_a, 0]]          s': [[0, t_b^-1], [1, 0]]
-# The pl value of e_i^{+-1} is t_i^{-+1} on the diagonal at i.
+#   s: [[1 - t_b, 1], [t_a, 0]]    s': [[0, t_b^-1], [1, (t_a - 1) t_b^-1]]
 _ONE = ((1, 0, 0),)
 _SIGMA_BLOCKS = {
-    ("magnus", 1): (((1, 0, 0), (-1, 0, 1)), _ONE, ((1, 1, 0),), ()),
-    ("magnus", -1): ((), ((1, 0, -1),), _ONE, ((1, 1, -1), (-1, 0, -1))),
-    ("pl", 1): ((), _ONE, ((1, 1, 0),), ()),
-    ("pl", -1): ((), ((1, 0, -1),), _ONE, ()),
+    1: (((1, 0, 0), (-1, 0, 1)), _ONE, ((1, 1, 0),), ()),
+    -1: ((), ((1, 0, -1),), _ONE, ((1, 1, -1), (-1, 0, -1))),
 }
 
 
@@ -123,12 +118,14 @@ def _fold(b: BraidWord, source: str, multivariate: bool) -> list:
     cols = [{(j, (0,) * width): 1} for j in range(m)]
     var = list(range(m)) if multivariate else [0] * m
     for kind, k, e in b.letters:
-        if kind == "e":
-            i = k - 1
-            cols[i] = _combine(width, var[i], var[i], [(cols[i], ((1, -e, 0),))])
+        if source == "pl":  # pl_letter's g_i^x reduces to t_i^-x
+            c, r, i, x = pl_letter(kind, k, e)
+            v = var[i - 1]
+            cols[r], cols[c] = cols[c], _combine(width, v, v, [(cols[r], ((1, -x, 0),))])
+            var[r], var[c] = var[c], var[r]  # c == r for e letters
             continue
         a, bb = k - 2, k - 1
-        x_aa, x_ab, x_ba, x_bb = _SIGMA_BLOCKS[source, e]
+        x_aa, x_ab, x_ba, x_bb = _SIGMA_BLOCKS[e]
         ca, cb = cols[a], cols[bb]
         x, y = var[a], var[bb]
         cols[a] = _combine(width, x, y, [(ca, x_aa), (cb, x_ba)])

@@ -125,6 +125,12 @@ def rel1_insert(w: GroupoidWord, pos: int, mid: int, left_exp: int) -> GroupoidW
     return GroupoidWord(pts, exps)
 
 
+def _rel2_twists(cfg: AdmissibleConfig, z: int, mid: int, zp: int) -> tuple:
+    """Relation 2's twists at z, mid and z' for s(z, z') through mid:
+    (mu(z',z,mid), mu(z,mid,z'), mu(mid,z',z))."""
+    return mu_index(cfg, zp, z, mid), mu_index(cfg, z, mid, zp), mu_index(cfg, mid, zp, z)
+
+
 def rel2_rewrite(cfg: AdmissibleConfig, w: GroupoidWord, seg: int, mid: int) -> GroupoidWord:
     """Rewrite segment s(z, z') (between point positions seg, seg+1) through
     a local triangle (z, mid, z'):
@@ -135,9 +141,7 @@ def rel2_rewrite(cfg: AdmissibleConfig, w: GroupoidWord, seg: int, mid: int) -> 
     z, zp = w.points[seg], w.points[seg + 1]
     if not is_local_triangle(cfg, z, mid, zp):
         raise GroupoidError(f"({z}, {mid}, {zp}) is not a local triangle")
-    mu0 = mu_index(cfg, zp, z, mid)
-    mu1 = mu_index(cfg, z, mid, zp)
-    mu2 = mu_index(cfg, mid, zp, z)
+    mu0, mu1, mu2 = _rel2_twists(cfg, z, mid, zp)
     pts = w.points[:seg + 1] + (mid,) + w.points[seg + 1:]
     exps = (
         w.exps[:seg]
@@ -154,7 +158,8 @@ class _Evaluator:
         self.cfg = data.cfg
         self.q = data.q
         p = data.cfg.parity
-        self.sgn, self.eps, self.diag = p.sgn, p.eps, p.diag
+        self.diag = p.diag
+        self.factor = {step: p.rho_coeff(step) for step in (1, -1)}
         self.bsign = -p.sgn  # (-1)^{n+1}
         self.rng = rng
         self.steps = max_steps
@@ -204,7 +209,7 @@ class _Evaluator:
         """One reflection step moving exps[i] one unit toward target."""
         m = exps[i]
         step = 1 if m > target else -1
-        factor = self.eps if step == 1 else self.sgn * self.eps
+        factor = self.factor[step]
         main = exps[:i] + (m - step,) + exps[i + 1:]
         a_pts, a_exps = pts[: i + 1], exps[:i] + (m - step,)
         b_pts, b_exps = pts[i:], (0,) + exps[i + 1:]
@@ -226,10 +231,7 @@ class _Evaluator:
         cand = [e for e in ext if e != pts[0] and e != pts[-1]]
         if not cand:
             raise AssertionError("no admissible extremal point")
-        if self.rng is not None:
-            e = self.rng.choice(cand)
-        else:
-            e = cand[0]
+        e = cand[0] if self.rng is None else self.rng.choice(cand)
 
         sub = tuple(k for k in active if k != e)
         if e not in pts:
@@ -251,26 +253,19 @@ class _Evaluator:
             if i < len(pts) - 1 and pts[i] == e:
                 a, b = new_pts[-1], pts[i + 1]
                 ch = chain(self.cfg, e, a, b, indices=active)
-                if sum(
-                    mu_index(self.cfg, ch[t - 1], e, ch[t])
-                    for t in range(1, len(ch))
-                ) != exps[i]:
+                # relation 2 on each chain triangle (w_{t-1}, e, w_t): its
+                # twists at e add up to exps[i], the others are taken off
+                tri = [(z, e, zp) for z, zp in zip(ch, ch[1:])]
+                tw = [_rel2_twists(self.cfg, *t) for t in tri]
+                if sum(mu1 for _, mu1, _ in tw) != exps[i]:
                     raise AssertionError("mu additivity failed along chain")
-                for t in range(1, len(ch)):
-                    if not is_local_triangle(
-                        self.cfg, ch[t - 1], e, ch[t], indices=active
-                    ):
-                        raise AssertionError("chain triple is not a local triangle")
-                new_exps[-1] += -mu_index(self.cfg, ch[1], a, e)
-                for t in range(1, len(ch) - 1):
-                    wj = ch[t]
+                if not all(is_local_triangle(self.cfg, *t, indices=active) for t in tri):
+                    raise AssertionError("chain triple is not a local triangle")
+                for wj, (mu0, _, mu2) in zip(ch[1:], tw):
+                    new_exps[-1] -= mu0
                     new_pts.append(wj)
-                    new_exps.append(
-                        -mu_index(self.cfg, e, wj, ch[t - 1])
-                        - mu_index(self.cfg, ch[t + 1], wj, e)
-                    )
-                new_pts.append(b)
-                new_exps.append(-mu_index(self.cfg, e, b, ch[-2]) + exps[i + 1])
+                    new_exps.append(-mu2)
+                new_exps[-1] += exps[i + 1]
                 i += 2
             else:
                 new_pts.append(pts[i])

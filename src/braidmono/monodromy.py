@@ -54,6 +54,11 @@ class ParityClass:
             return 0
         return 2 if self.n_mod_4 == 0 else -2
 
+    def rho_coeff(self, e: int) -> int:
+        """c with rho_N(g_i^e) = I - c E_i N: eps*e for n odd, eps*(e mod 2)
+        for n even."""
+        return self.eps * (e if self.n_mod_4 & 1 else e % 2)
+
 
 # --- small exact integer matrix helpers ------------------------------------
 
@@ -118,12 +123,11 @@ def validate_N(parity: ParityClass, rows) -> IntersectionMatrix:
 
 def _steps(parity: ParityClass, rows, letters):
     """(i, c, rows[i]) for each syllable g_{i+1}^e in letters, so that
-    rho_N(g_{i+1}^e) = I - c E_i N: c = eps*e for n odd, eps*(e mod 2)
-    for n even.  Syllables with c = 0 act trivially and are dropped."""
-    eps, odd = parity.eps, parity.sgn < 0
+    rho_N(g_{i+1}^e) = I - c E_i N with c = parity.rho_coeff(e).  Syllables
+    with c = 0 act trivially and are dropped."""
     out = []
     for i, e in letters:
-        c = eps * (e if odd else e % 2)
+        c = parity.rho_coeff(e)
         if c:
             out.append((i - 1, c, rows[i - 1]))
     return out
@@ -162,16 +166,15 @@ def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool):
     On one letter S = P + t e_i e_i^T, where P swaps columns i and j
     (P = I when i = j) and t = -s N[i][j]: column i of S is column j of
     rho_N(g^{-1}), where the letter's monomial cocycle holds g = g_a^x at
-    row j of column i, (i, j, a, x) = words.pl_letter(letter).  So s = eps
-    for x = -1 and s = sgn*eps for x = +1.
+    row j of column i, (i, j, a, x) = words.pl_letter(letter).  So s is
+    parity.rho_coeff(-x).
 
     N <- S^T N S and S <- S * S_letter each cost O(m) per letter.  Returns
     (S, rows of sigma^* N); S is [] unless with_S.
     """
     if sigma.m != N.m:
         raise WordError(f"strand count {sigma.m} vs matrix size {N.m}")
-    par = N.parity
-    s_of = {-1: par.eps, 1: par.sgn * par.eps}
+    s_of = {x: N.parity.rho_coeff(-x) for x in (1, -1)}
     rows = N.rows()
     S = mat_eye(N.m) if with_S else []
     for kind, k, e in sigma.letters:

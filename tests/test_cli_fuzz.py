@@ -13,9 +13,11 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from braidmono.cli import main
+from test_cli import one_line_error
 
 scalars = st.one_of(
     st.none(),
@@ -172,3 +174,33 @@ def test_word_commands_on_random_tokens(cmd, word, m):
     err = err.getvalue()
     assert code == 0 and err == "" or code == 1 and err.count("\n") == 1, (code, err)
     assert "Traceback" not in err
+
+
+# --- usage errors -------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["act"],
+    ["character", "--n-class", "1"],
+    ["chi", "--config", "c.json", "--q", "q.json"],
+    ["pl-cocycle", "--m", "x", "s2"],
+    ["magnus", "--m", "2.5", "s2"],
+    ["rep", "burau", "--m", "", "s2"],
+    ["rep", "no-such-rep", "--m", "2", "s2"],
+    ["act", "--n-class", "one", "--matrix", "N.json", "s2"],
+    ["no-such-command"],
+    ["forward", "--config", "c.json", "--matrix", "N.json", "--extra"],
+])
+def test_usage_errors_are_one_line(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert one_line_error(code, out.out, out.err), out.err
+    assert out.err.startswith("error: braidmono")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["act", "--help"], ["rep", "-h"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: braidmono" in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from braidmono import (
@@ -151,6 +153,23 @@ def test_coboundary_transport_is_cocycle_in_sigma(rng):
         lhs = coboundary_transport(u * v, tau)
         rhs = coboundary_transport(u, tau).compose(coboundary_transport(v, tau).act(u))
         assert lhs == rhs
+
+
+def test_coboundary_transport_equals_three_factor_form():
+    # the definition S(tau)^-1 · S(sigma) · sigma_* S(tau), through act
+    rng = random.Random(7100)
+    for _ in range(300):
+        m = rng.randint(1, 5)
+        sigma = rand_braid(rng, m, rng.randint(0, 8))
+        tau = rand_braid(rng, m, rng.randint(0, 8))
+        st = pl_cocycle(tau)
+        ref = st.invert().compose(pl_cocycle(sigma)).compose(st.act(sigma))
+        assert coboundary_transport(sigma, tau) == ref, (str(sigma), str(tau))
+
+
+def test_coboundary_transport_mixed_strands():
+    with pytest.raises(WordError, match="mixed strand counts 2 and 3"):
+        coboundary_transport(parse_braid("s2", 2), parse_braid("s3", 3))
 
 
 FRAMED_RELATIONS_M4 = [

@@ -21,6 +21,7 @@ from braidmono import (
     pl_cocycle,
     reduce_reps,
 )
+from braidmono.cocycles import _fold
 from conftest import rand_braid
 
 REPS = ("burau", "tym", "tym_framed", "gassner", "linking")
@@ -82,6 +83,63 @@ def test_pure_braids(m):
         b = pure_power(rand_braid(rng, m, rng.randint(1, 4 if m < 5 else 3), framed=False))
         for rep in REPS:
             check(b, rep)
+
+
+# --- the path-change fold against its closed-form letter values --------------
+#
+# cocycles._fold reads each path-change letter from words.pl_letter.  The
+# reference below states the same values by hand, as the 2x2 blocks of
+# sigma_k^{+-1} on strands a = k-1, b = k (terms (c, p, q) = c t_a^p t_b^q)
+#     s: [[0, 1], [t_a, 0]]      s': [[0, t_b^-1], [1, 0]]
+# and t_i^{-+1} on the diagonal at i for e_i^{+-1}.
+
+_ONE = ((1, 0, 0),)
+PL_BLOCKS = {
+    1: ((), _ONE, ((1, 1, 0),), ()),
+    -1: ((), ((1, 0, -1),), _ONE, ()),
+}
+
+
+def ref_pl_fold(b, multivariate):
+    m = b.m
+    width = m if multivariate else 1
+    cols = [{(j, (0,) * width): 1} for j in range(m)]
+    var = list(range(m)) if multivariate else [0] * m
+
+    def combine(x, y, parts):
+        out = {}
+        for col, terms in parts:
+            for c, p, q in terms:
+                shift = [0] * width
+                shift[x] += p
+                shift[y] += q
+                for (r, v), coef in col.items():
+                    key = (r, tuple(a + d for a, d in zip(v, shift)))
+                    out[key] = out.get(key, 0) + c * coef
+        return {key: coef for key, coef in out.items() if coef}
+
+    for kind, k, e in b.letters:
+        if kind == "e":
+            cols[k - 1] = combine(var[k - 1], var[k - 1], [(cols[k - 1], ((1, -e, 0),))])
+            continue
+        a, bb = k - 2, k - 1
+        x_aa, x_ab, x_ba, x_bb = PL_BLOCKS[e]
+        ca, cb = cols[a], cols[bb]
+        x, y = var[a], var[bb]
+        cols[a] = combine(x, y, [(ca, x_aa), (cb, x_ba)])
+        cols[bb] = combine(x, y, [(ca, x_ab), (cb, x_bb)])
+        var[a], var[bb] = y, x
+    return cols
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_pl_fold_matches_letter_blocks(m):
+    rng = random.Random(6000 + m)
+    words = [BraidWord(m, (letter,)) for letter in letters(m, framed=True)]
+    words += [rand_braid(rng, m, rng.randint(0, 16)) for _ in range(40)]
+    for b in words:
+        for multivariate in (False, True):
+            assert _fold(b, "pl", multivariate) == ref_pl_fold(b, multivariate), str(b)
 
 
 # --- errors -----------------------------------------------------------------
