@@ -8,13 +8,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .words import MAX_STRANDS, FreeWord, parse_braid, parse_word
 from .cocycles import magnus_cocycle, pl_cocycle, reduce_reps
 from .monodromy import (
-    IntersectionMatrix,
     ParityClass,
     character,
     cocycle_and_action,
@@ -28,24 +26,33 @@ from .reconstruct import FanConfiguration, forward_Q, reconstruct_N
 from . import serialize as ser
 
 
-def _emit(obj) -> None:
-    print(ser.dumps(obj))
+def _ints(x, path=()):
+    """(path, value) of each int in the JSON value x; a path lists the
+    object keys and 1-based list indices that lead to its int."""
+    if isinstance(x, int):
+        yield path, x
+    elif isinstance(x, (dict, list, tuple)):
+        for k, v in x.items() if isinstance(x, dict) else enumerate(x, 1):
+            yield from _ints(v, path + (k,))
 
 
-def _printable(cmd: str, name: str, rows):
-    """rows, unless an entry is past the interpreter's limit on converting
-    an int to decimal; then a one-line error naming that entry."""
-    limit = sys.get_int_max_str_digits()
-    if limit:
-        bound = 10**limit
-        for r, row in enumerate(rows, 1):
-            for c, x in enumerate(row, 1):
-                if abs(x) >= bound:
-                    raise ValueError(
-                        f"{cmd}: {name} entry ({r},{c}) has more than "
-                        f"{limit} decimal digits"
-                    )
-    return rows
+def _emit(cmd: str, out) -> None:
+    """Print out as JSON, or refuse the first int in it past the interpreter's
+    limit on decimal conversion, named by its top-level key and list indices."""
+    try:
+        text = ser.dumps(out)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        bound = 10**limit if limit else None  # with no limit, no int is past it
+        for path, v in _ints(out):
+            if bound and abs(v) >= bound:
+                rc = ",".join(str(k) for k in path if type(k) is int)
+                where = f"{path[0]} entry ({rc})" if path else "value"
+                raise ValueError(
+                    f"{cmd}: {where} has more than {limit} decimal digits"
+                ) from None
+        raise
+    print(text)
 
 
 def _braid_arg(args):
@@ -55,42 +62,30 @@ def _braid_arg(args):
     return parse_braid(args.word, args.m)
 
 
-def _cmd_pl_cocycle(args) -> int:
-    _emit(ser.monomial_json(pl_cocycle(_braid_arg(args))))
-    return 0
+def _cmd_pl_cocycle(args) -> dict:
+    return ser.monomial_json(pl_cocycle(_braid_arg(args)))
 
 
-def _cmd_magnus(args) -> int:
-    _emit({"matrix": ser.ring_matrix_json(magnus_cocycle(_braid_arg(args)))})
-    return 0
+def _cmd_magnus(args) -> dict:
+    return {"matrix": ser.ring_matrix_json(magnus_cocycle(_braid_arg(args)))}
 
 
-def _cmd_rep(args) -> int:
+def _cmd_rep(args) -> dict:
     b, rep = _braid_arg(args), args.rep.replace("-", "_")
-    _emit({"rep": args.rep, "matrix": ser.ring_matrix_json(reduce_reps(b, rep))})
-    return 0
+    return {"rep": args.rep, "matrix": ser.ring_matrix_json(reduce_reps(b, rep))}
 
 
-def _load_N(args) -> IntersectionMatrix:
-    return ser.load_int_matrix(args.matrix, ParityClass(args.n_class))
-
-
-def _cmd_act(args) -> int:
-    N = _load_N(args)
+def _cmd_act(args) -> dict:
+    N = ser.load_int_matrix(args.matrix, ParityClass(args.n_class))
     b = parse_braid(args.word, N.m)
     S, out = cocycle_and_action(b, N)
-    _emit({
-        "S": _printable("act", "S", S),
-        "N_out": ser.int_matrix_json(N.parity, _printable("act", "N_out", out.rows())),
-    })
-    return 0
+    return {"S": S, "N_out": ser.int_matrix_json(N.parity, out.n)}
 
 
-def _cmd_character(args) -> int:
-    N = _load_N(args)
+def _cmd_character(args) -> dict:
+    N = ser.load_int_matrix(args.matrix, ParityClass(args.n_class))
     g = parse_word(args.g, N.m)
-    _emit({"matrix": _printable("character", "matrix", character(N, g))})
-    return 0
+    return {"matrix": character(N, g)}
 
 
 def _load_Q(cfg: AdmissibleConfig, path):
@@ -102,28 +97,22 @@ def _cmd_chi(args) -> int:
     if isinstance(config, FanConfiguration):
         config = config.cfg
     Q = _load_Q(config, args.q)
-    w = parse_groupoid_word(args.word)
-    print(chi_evaluate(Q, w))
-    return 0
+    return chi_evaluate(Q, parse_groupoid_word(args.word))
 
 
-def _cmd_forward(args) -> int:
+def _cmd_forward(args) -> dict:
     fan = ser.require_fan(ser.load_config(args.config))
     N = ser.load_int_matrix(args.matrix, fan.cfg.parity)
-    Q = forward_Q(fan, N)
-    _emit(ser.int_matrix_json(fan.cfg.parity, [list(r) for r in Q.q]))
-    return 0
+    return ser.int_matrix_json(fan.cfg.parity, forward_Q(fan, N).q)
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args) -> dict:
     fan = ser.require_fan(ser.load_config(args.config))
     Q = _load_Q(fan.cfg, args.q)
-    N = reconstruct_N(fan, Q)
-    _emit(ser.int_matrix_json(fan.cfg.parity, N.rows()))
-    return 0
+    return ser.int_matrix_json(fan.cfg.parity, reconstruct_N(fan, Q).n)
 
 
-def _cmd_cover_example(args) -> int:
+def _cmd_cover_example(args) -> None:
     _, _, out = cover_example()
     for w, rows in out.items():
         print(f"N({w}):")
@@ -133,13 +122,10 @@ def _cmd_cover_example(args) -> int:
     N1 = validate_N(ParityClass(0), out["1"])
     for i, want in [(1, "a"), (3, "a"), (2, "g2"), (4, "g2")]:
         if character(N1, FreeWord.gen(4, i)) != out[want]:
-            print(f"gluing identity failed at i = {i}", file=sys.stderr)
-            return 2
+            raise AssertionError(f"gluing identity failed at i = {i}")
     if mat_transpose(out["ab"]) != out["ba"]:
-        print("transpose identity N(ba) = N(ab)^T failed", file=sys.stderr)
-        return 2
+        raise AssertionError("transpose identity N(ba) = N(ab)^T failed")
     print("identities verified")
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,11 +203,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.fn(args)
+        out = args.fn(args)
+        if out is not None:
+            _emit(args.cmd, out)
+        return 0
     except AssertionError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

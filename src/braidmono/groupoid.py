@@ -27,6 +27,7 @@ from .geometry import (
     mu_index,
 )
 from .monodromy import IntersectionMatrix, ParityError, validate_N
+from .words import _excerpt
 
 
 class GroupoidError(ValueError):
@@ -81,7 +82,7 @@ def parse_groupoid_word(text: str) -> GroupoidWord:
             pts.append(int(z))
             exps.append(int(e))
         except ValueError:
-            raise GroupoidError(f"bad groupoid word item {item!r}") from None
+            raise GroupoidError(f"bad groupoid word item {_excerpt(repr(item))}") from None
     return GroupoidWord(tuple(pts), tuple(exps))
 
 

@@ -131,11 +131,10 @@ def anchor_word(fan: FanConfiguration, w: GroupoidWord) -> AnchorWord:
     for z in w.points:
         if not 1 <= z <= m:
             raise GeometryError(f"point index {z} out of range 1..{m}")
-    out = FreeWord.gen(m, w.points[0], w.exps[0])
-    for t in range(len(w.points) - 1):
-        out = out * _anchor_segment(fan, w.points[t], w.points[t + 1])
-        out = out * FreeWord.gen(m, w.points[t + 1], w.exps[t + 1])
-    return AnchorWord(w.target, w.source, out)
+    pairs = [(w.points[0], w.exps[0])]
+    for a, b, e in zip(w.points, w.points[1:], w.exps[1:]):
+        pairs += _anchor_segment(fan, a, b).letters + ((b, e),)
+    return AnchorWord(w.target, w.source, FreeWord.make(m, pairs))
 
 
 def hop_words(fan: FanConfiguration) -> list:
@@ -155,8 +154,8 @@ def _interval_push(fan: FanConfiguration, rows, i: int, j: int) -> int:
     so it runs on those columns alone: O(r^2) for r interior points.
     """
     cols = _anchor_columns(fan, i, j)
-    window, eps = itemgetter(*cols, j), fan.cfg.parity.eps
-    steps = [(t, eps, window(rows[a])) for t, a in enumerate(cols)]
+    window, c = itemgetter(*cols, j), fan.cfg.parity.rho_coeff(1)
+    steps = [(t, c, window(rows[a])) for t, a in enumerate(cols)]
     return _times_rho(steps[0][2], steps)[-1]
 
 

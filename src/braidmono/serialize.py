@@ -17,15 +17,11 @@ from .geometry import AdmissibleConfig, RationalPoint, _exact, validate_admissib
 from .matrices import MonomialGammaMatrix, RingMatrix
 from .monodromy import IntersectionMatrix, ParityClass, validate_N
 from .reconstruct import FanConfiguration, build_fan_config
+from .words import _excerpt
 
 
 class SerializeError(ValueError):
     pass
-
-
-def _excerpt(r: str) -> str:
-    """r, cut to a short prefix and its length when it is long."""
-    return r if len(r) <= 32 else f"{r[:24]}... ({len(r)} chars)"
 
 
 def parse_rational(s, source: str = ""):

@@ -9,11 +9,17 @@ classes: in a braid word the LEFTMOST letter acts LAST.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 
 class WordError(ValueError):
     pass
+
+
+def _excerpt(r: str) -> str:
+    """r, cut to a short prefix and its length when it is long."""
+    return r if len(r) <= 32 else f"{r[:24]}... ({len(r)} chars)"
 
 
 def _check_strands(m: int) -> None:
@@ -68,7 +74,11 @@ class FreeWord:
 
     @staticmethod
     def make(m: int, pairs) -> "FreeWord":
-        """Build from arbitrary (index, exponent) pairs, reducing freely."""
+        """Build from (index, exponent) pairs, checking each index, reducing freely."""
+        pairs = tuple(pairs)
+        for i, _ in pairs:
+            if not 1 <= i <= m:
+                raise WordError(f"generator index {i} out of range 1..{m}")
         return FreeWord(m, _reduce(pairs))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
@@ -122,10 +132,16 @@ def _parse_tokens(text: str):
     for tok in text.split():
         mo = _TOKEN.match(tok)
         if not mo:
-            raise WordError(f"bad token {tok!r}")
+            raise WordError(f"bad token {_excerpt(repr(tok))}")
         kind, idx, prime, pow_ = mo.groups()
-        e = -1 if prime else int(pow_) if pow_ is not None else 1
-        yield kind, int(idx), e
+        try:
+            i, e = int(idx), -1 if prime else int(pow_) if pow_ is not None else 1
+        except ValueError:  # _TOKEN matched, so only the digit limit can fail
+            raise WordError(
+                f"bad token {_excerpt(repr(tok))}: a number in it has more than "
+                f"{sys.get_int_max_str_digits()} decimal digits"
+            ) from None
+        yield kind, i, e
 
 
 def parse_word(text: str, m: int) -> FreeWord:
@@ -133,8 +149,6 @@ def parse_word(text: str, m: int) -> FreeWord:
     for kind, i, e in _parse_tokens(text):
         if kind != "g":
             raise WordError(f"expected g<i> token, got {kind}{i}")
-        if not 1 <= i <= m:
-            raise WordError(f"generator index {i} out of range 1..{m}")
         pairs.append((i, e))
     return FreeWord.make(m, pairs)
 
@@ -226,7 +240,8 @@ def parse_braid(text: str, m: int) -> BraidWord:
                 f"braid token {_fmt(kind, i, e)} expands to more than "
                 f"{MAX_BRAID_POWER} letters"
             )
-        if e == 0:
+        if e == 0:  # no letter, but the token must name a valid one
+            BraidWord(m, ((kind, i, 1),))
             continue
         sign = 1 if e > 0 else -1
         letters.extend([(kind, i, sign)] * abs(e))

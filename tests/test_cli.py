@@ -111,6 +111,28 @@ def test_outputs_past_digit_limit(capsys, files):
     assert err == "error: character: matrix entry (1,1) has more than 4300 decimal digits\n"
 
 
+def test_every_output_past_digit_limit_is_named(capsys, tmp_path):
+    # point 2 lies inside the triangle (z0, z1, z3), so entry (1,3) of
+    # forward and reconstruct multiplies two 3000-digit entries, and so does
+    # a twist at point 2 in chi
+    big = 10**2999 + 7
+    cfg = write(tmp_path, "cfg.json", {
+        "n_class": 1, "points": [["-2", "4"], ["0", "2"], ["2", "4"]],
+        "basepoint": ["0", "-1"],
+    })
+    N = write(tmp_path, "N.json", {
+        "n_class": 1, "matrix": [[0, big, big], [-big, 0, big], [-big, -big, 0]],
+    })
+    for argv, name in (
+        (["forward", "--config", cfg, "--matrix", N], "forward: matrix entry (1,3)"),
+        (["reconstruct", "--config", cfg, "--q", N], "reconstruct: matrix entry (1,3)"),
+        (["chi", "--config", cfg, "--q", N, "--word", "1:0,2:1,3:0"], "chi: value"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert one_line_error(code, out, err), err
+        assert err == f"error: {name} has more than 4300 decimal digits\n"
+
+
 def test_character_cmd(capsys, files):
     _, N = files
     code, out, _ = run(capsys, "character", "--n-class", "1", "--matrix", N, "--g", "1")
@@ -192,6 +214,17 @@ def test_cover_example_cmd(capsys):
     assert code == 0
     assert "identities verified" in out
     assert "N(ba):" in out
+
+
+def test_cover_example_failed_identity_is_internal(capsys, monkeypatch):
+    from braidmono import cli
+
+    monkeypatch.setattr(cli, "mat_transpose", lambda rows: rows)
+    code, out, err = run(capsys, "cover-example")
+    assert code == 2 and "identities verified" not in out
+    assert err == (
+        "internal invariant violation: transpose identity N(ba) = N(ab)^T failed\n"
+    )
 
 
 def test_parser_is_shared_between_calls(capsys):
@@ -316,3 +349,29 @@ def test_chi_deep_twist_is_one_line(capsys, tmp_path, files):
     code, out, err = run(capsys, "chi", "--config", cfg, "--q", q, "--word", "1:0,2:500,3:0")
     assert one_line_error(code, out, err), err
     assert "point 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "character --n-class 1 --matrix {N} --g g1^{big}",
+    "act --n-class 1 --matrix {N} s2^{big}",
+    "pl-cocycle --m 3 s{big}",
+    "chi --config {cfg} --q {N} --word 1:0,2:{big},3:0",
+])
+def test_long_number_token_is_cut(capsys, files, argv):
+    cfg, N = files
+    code, out, err = run(capsys, *argv.format(cfg=cfg, N=N, big="1" * 5000).split())
+    assert one_line_error(code, out, err), err
+    assert err.startswith("error: bad ") and len(err) < 150 and " chars)" in err
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["act", "--n-class", "1", "--matrix", "{N}", "s9^0"], "sigma index 9 out of range 2..3"),
+    (["pl-cocycle", "--m", "3", "s9^0 s2"], "sigma index 9 out of range 2..3"),
+    (["rep", "burau", "--m", "3", "s7^0"], "sigma index 7 out of range 2..3"),
+    (["magnus", "--m", "3", "e4^0"], "epsilon index 4 out of range 1..3"),
+])
+def test_zero_power_token_names_a_letter(capsys, files, argv, msg):
+    _, N = files
+    code, out, err = run(capsys, *(a.format(N=N) for a in argv))
+    assert one_line_error(code, out, err), err
+    assert err == f"error: {msg}\n"

@@ -45,6 +45,23 @@ def test_parse_format_roundtrip():
         parse_word("g5", 3)
 
 
+def test_zero_power_index_is_checked():
+    # reduction drops g9^0 and g9 g9', so the index is checked before it
+    for build in (lambda: FreeWord.make(3, [(9, 0)]), lambda: FreeWord.gen(3, 9, 0),
+                  lambda: FreeWord.make(3, [(9, 1), (9, -1)]),
+                  lambda: parse_word("g9^0", 3)):
+        with pytest.raises(WordError) as exc:
+            build()
+        assert str(exc.value) == "generator index 9 out of range 1..3"
+    # a braid token of power 0 expands to no letter but must name one
+    for text, msg in (("s9^0", "sigma index 9 out of range 2..3"),
+                      ("s2 s1^0", "sigma index 1 out of range 2..3"),
+                      ("e4^0", "epsilon index 4 out of range 1..3")):
+        with pytest.raises(WordError) as exc:
+            parse_braid(text, 3)
+        assert str(exc.value) == msg
+
+
 @given(pairs_st, pairs_st, pairs_st)
 def test_free_group_axioms(a, b, c):
     u, v, w = (FreeWord.make(4, x) for x in (a, b, c))
