@@ -10,8 +10,8 @@ import argparse
 import functools
 import sys
 
-from .words import MAX_STRANDS, FreeWord, parse_braid, parse_word
-from .cocycles import magnus_cocycle, pl_cocycle, reduce_reps
+from .words import FreeWord, _excerpt, parse_braid, parse_word
+from .cocycles import _REPS, magnus_cocycle, pl_cocycle, reduce_reps
 from .monodromy import (
     ParityClass,
     character,
@@ -24,6 +24,8 @@ from .groupoid import chi_evaluate, parse_groupoid_word, validate_Q
 from .geometry import AdmissibleConfig
 from .reconstruct import FanConfiguration, forward_Q, reconstruct_N
 from . import serialize as ser
+
+MAX_STRANDS = 1024  # strands a word command accepts: it prints m x m matrices
 
 
 def _ints(x, path=()):
@@ -58,7 +60,7 @@ def _emit(cmd: str, out) -> None:
 def _braid_arg(args):
     """The braid word of a word command; --m past MAX_STRANDS is refused first."""
     if args.m > MAX_STRANDS:
-        raise ValueError(f"strand count {args.m} is above {MAX_STRANDS}")
+        raise ValueError(f"strand count {_excerpt(args.m)} is above {MAX_STRANDS}")
     return parse_braid(args.word, args.m)
 
 
@@ -76,14 +78,14 @@ def _cmd_rep(args) -> dict:
 
 
 def _cmd_act(args) -> dict:
-    N = ser.load_int_matrix(args.matrix, ParityClass(args.n_class))
+    N = ser.load_int_matrix(args.matrix)
     b = parse_braid(args.word, N.m)
     S, out = cocycle_and_action(b, N)
     return {"S": S, "N_out": ser.int_matrix_json(N.parity, out.n)}
 
 
 def _cmd_character(args) -> dict:
-    N = ser.load_int_matrix(args.matrix, ParityClass(args.n_class))
+    N = ser.load_int_matrix(args.matrix)
     g = parse_word(args.g, N.m)
     return {"matrix": character(N, g)}
 
@@ -128,6 +130,48 @@ def _cmd_cover_example(args) -> None:
     print("identities verified")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse's own message would quote all of text
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_excerpt(repr(text))}"
+        ) from None
+
+
+# each argument, declared once for every command that takes it
+_ARGS = {
+    "rep": dict(choices=[r.replace("_", "-") for r in _REPS]),
+    "--m": dict(type=_int, required=True),
+    "word": dict(help="braid word, e.g. \"s2 s3' e1^2\" (or \"\" for 1)"),
+    "--matrix": dict(required=True, help="N as JSON file, its n_class included"),
+    "--g": dict(required=True, help="free-group word, e.g. \"g1 g2'\""),
+    "--config": dict(required=True),
+    "--q": dict(required=True),
+    "--word": dict(required=True, help='e.g. "1:0,3:2,2:-1" (target first)'),
+}
+
+# command -> (handler, help, its arguments in order)
+_COMMANDS = {
+    "pl-cocycle": (_cmd_pl_cocycle, "monomial path-change cocycle of a braid word",
+                   ("--m", "word")),
+    "magnus": (_cmd_magnus, "group-ring cocycle via free differential calculus",
+               ("--m", "word")),
+    "rep": (_cmd_rep, "Laurent matrix representation of a braid word",
+            ("rep", "--m", "word")),
+    "act": (_cmd_act, "integer cocycle S(sigma, N) and the action on N",
+            ("--matrix", "word")),
+    "character": (_cmd_character, "character matrix N rho_N(g)", ("--matrix", "--g")),
+    "chi": (_cmd_chi, "evaluate the straight-line character on a path word",
+            ("--config", "--q", "--word")),
+    "forward": (_cmd_forward, "straight-line data Q of an intersection matrix",
+                ("--config", "--matrix")),
+    "reconstruct": (_cmd_reconstruct, "recover the intersection matrix from Q",
+                    ("--config", "--q")),
+    "cover-example": (_cmd_cover_example, "bundled 3-sheeted cover: print and verify", ()),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors, subcommands' too, exit 1 in main
         raise ValueError(f"{self.prog}: {message}")
@@ -140,57 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
         "reconstruction of intersection matrices from straight-line data.",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def with_word(p):
-        p.add_argument("word", help="braid word, e.g. \"s2 s3' e1^2\" (or \"\" for 1)")
-
-    p = sub.add_parser("pl-cocycle", help="monomial path-change cocycle of a braid word")
-    p.add_argument("--m", type=int, required=True)
-    with_word(p)
-    p.set_defaults(fn=_cmd_pl_cocycle)
-
-    p = sub.add_parser("magnus", help="group-ring cocycle via free differential calculus")
-    p.add_argument("--m", type=int, required=True)
-    with_word(p)
-    p.set_defaults(fn=_cmd_magnus)
-
-    p = sub.add_parser("rep", help="Laurent matrix representation of a braid word")
-    p.add_argument("rep", choices=["burau", "tym", "tym-framed", "gassner", "linking"])
-    p.add_argument("--m", type=int, required=True)
-    with_word(p)
-    p.set_defaults(fn=_cmd_rep)
-
-    p = sub.add_parser("act", help="integer cocycle S(sigma, N) and the action on N")
-    p.add_argument("--n-class", type=int, required=True)
-    p.add_argument("--matrix", required=True, help="N as JSON file")
-    with_word(p)
-    p.set_defaults(fn=_cmd_act)
-
-    p = sub.add_parser("character", help="character matrix N rho_N(g)")
-    p.add_argument("--n-class", type=int, required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--g", required=True, help="free-group word, e.g. \"g1 g2'\"")
-    p.set_defaults(fn=_cmd_character)
-
-    p = sub.add_parser("chi", help="evaluate the straight-line character on a path word")
-    p.add_argument("--config", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--word", required=True, help='e.g. "1:0,3:2,2:-1" (target first)')
-    p.set_defaults(fn=_cmd_chi)
-
-    p = sub.add_parser("forward", help="straight-line data Q of an intersection matrix")
-    p.add_argument("--config", required=True)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(fn=_cmd_forward)
-
-    p = sub.add_parser("reconstruct", help="recover the intersection matrix from Q")
-    p.add_argument("--config", required=True)
-    p.add_argument("--q", required=True)
-    p.set_defaults(fn=_cmd_reconstruct)
-
-    p = sub.add_parser("cover-example", help="bundled 3-sheeted cover: print and verify")
-    p.set_defaults(fn=_cmd_cover_example)
-
+    for name, (fn, about, names) in _COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        for arg in names:
+            p.add_argument(arg, **_ARGS[arg])
+        p.set_defaults(fn=fn)
     return ap
 
 

@@ -44,7 +44,7 @@ class GroupoidWord:
             raise GroupoidError("need one exponent per point, k >= 0")
         for a, b in zip(self.points, self.points[1:]):
             if a == b:
-                raise GroupoidError(f"repeated adjacent point {a}")
+                raise GroupoidError(f"repeated adjacent point {_excerpt(a)}")
 
     @property
     def target(self) -> int:
@@ -291,7 +291,7 @@ def chi_evaluate(
     cfg = data.cfg
     for z in w.points:
         if not 1 <= z <= cfg.m:
-            raise GroupoidError(f"point index {z} out of range 1..{cfg.m}")
+            raise GroupoidError(f"point index {_excerpt(z)} out of range 1..{cfg.m}")
     active = tuple(range(1, cfg.m + 1))
     try:
         return _Evaluator(data, rng, max_steps).ev(active, w.points, w.exps)
@@ -303,5 +303,5 @@ def chi_evaluate(
             default=(0, w.target),
         )
         raise GroupoidError(
-            f"chi evaluation recursed too deep: point {z} carries a twist of {e}"
+            f"chi evaluation recursed too deep: point {z} carries a twist of {_excerpt(e)}"
         ) from None

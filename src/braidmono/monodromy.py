@@ -20,7 +20,7 @@ from itertools import chain
 from math import lcm
 from operator import neg
 
-from .words import BraidWord, FreeWord, WordError, pl_letter
+from .words import BraidWord, FreeWord, WordError, _excerpt, pl_letter
 
 
 class ParityError(ValueError):
@@ -35,7 +35,7 @@ class ParityClass:
 
     def __post_init__(self):
         if self.n_mod_4 not in (0, 1, 2, 3):
-            raise ParityError(f"n mod 4 must be 0..3, got {self.n_mod_4}")
+            raise ParityError(f"n mod 4 must be 0..3, got {_excerpt(self.n_mod_4)}")
 
     @property
     def sgn(self) -> int:
@@ -101,13 +101,14 @@ def validate_N(parity: ParityClass, rows) -> IntersectionMatrix:
         for i in range(m):  # name the first entry off sgn * transpose or diag
             if rows[i][i] != diag:
                 raise ParityError(
-                    f"diagonal entry ({i + 1},{i + 1}) = {rows[i][i]}, must be {diag}"
+                    f"diagonal entry ({i + 1},{i + 1}) = {_excerpt(rows[i][i])}, "
+                    f"must be {diag}"
                 )
             for j in range(m):
                 if rows[i][j] != sgn * rows[j][i]:
                     raise ParityError(
                         f"symmetry violated at ({i + 1},{j + 1}): "
-                        f"{rows[i][j]} != {sgn}*{rows[j][i]}"
+                        f"{_excerpt(rows[i][j])} != {sgn}*{_excerpt(rows[j][i])}"
                     )
     return IntersectionMatrix(parity, rows)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .words import FreeWord
+from .words import FreeWord, _excerpt
 from .geometry import (
     AdmissibleConfig,
     GeometryError,
@@ -130,7 +130,7 @@ def anchor_word(fan: FanConfiguration, w: GroupoidWord) -> AnchorWord:
     m = fan.cfg.m
     for z in w.points:
         if not 1 <= z <= m:
-            raise GeometryError(f"point index {z} out of range 1..{m}")
+            raise GeometryError(f"point index {_excerpt(z)} out of range 1..{m}")
     pairs = [(w.points[0], w.exps[0])]
     for a, b, e in zip(w.points, w.points[1:], w.exps[1:]):
         pairs += _anchor_segment(fan, a, b).letters + ((b, e),)

@@ -13,9 +13,9 @@ import json
 import sys
 from decimal import Decimal
 
-from .geometry import AdmissibleConfig, RationalPoint, _exact, validate_admissible
+from .geometry import RationalPoint, _exact, validate_admissible
 from .matrices import MonomialGammaMatrix, RingMatrix
-from .monodromy import IntersectionMatrix, ParityClass, validate_N
+from .monodromy import IntersectionMatrix, ParityClass, ParityError, validate_N
 from .reconstruct import FanConfiguration, build_fan_config
 from .words import _excerpt
 
@@ -43,10 +43,6 @@ def parse_rational(s, source: str = ""):
             # Fraction's own message may echo the whole token
             reason = "not a rational number" if repr(s) in str(exc) else str(exc)
     raise SerializeError(f"{where}bad rational {_excerpt(repr(s))}: {reason}")
-
-
-def rational_str(x) -> str:
-    return str(x)  # an int, or a Fraction in lowest terms: "p/q"
 
 
 def _too_many_digits(source: str) -> SerializeError:
@@ -122,7 +118,10 @@ def _parse_point(item, source: str):
 def parse_parity(obj: dict, source: str) -> ParityClass:
     if "n_class" not in obj:
         raise SerializeError(f'{source}: missing "n_class" field')
-    return ParityClass(_to_int(obj["n_class"], source))
+    try:
+        return ParityClass(_to_int(obj["n_class"], source))
+    except ParityError as exc:
+        raise SerializeError(f"{source}: {exc}") from None
 
 
 def load_config(obj):
@@ -152,23 +151,6 @@ def require_fan(config) -> FanConfiguration:
     if not isinstance(config, FanConfiguration):
         raise SerializeError('this command needs a config with a "basepoint"')
     return config
-
-
-def config_json(config) -> dict:
-    if isinstance(config, FanConfiguration):
-        cfg, extra = config.cfg, {
-            "basepoint": [rational_str(config.z0.x), rational_str(config.z0.y)],
-            "order": list(config.order),
-        }
-    else:
-        cfg, extra = config, {
-            "tangents": [[rational_str(a), rational_str(b)] for a, b in config.tangents]
-        }
-    return {
-        "n_class": cfg.parity.n_mod_4,
-        "points": [[rational_str(p.x), rational_str(p.y)] for p in cfg.points],
-        **extra,
-    }
 
 
 def load_int_matrix(obj, expect_parity: ParityClass | None = None) -> IntersectionMatrix:

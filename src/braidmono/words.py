@@ -17,14 +17,15 @@ class WordError(ValueError):
     pass
 
 
-def _excerpt(r: str) -> str:
-    """r, cut to a short prefix and its length when it is long."""
+def _excerpt(r) -> str:
+    """str(r), cut to a short prefix and its length when it is long."""
+    r = str(r)
     return r if len(r) <= 32 else f"{r[:24]}... ({len(r)} chars)"
 
 
 def _check_strands(m: int) -> None:
     if m < 1:
-        raise WordError(f"strand count {m} is below 1")
+        raise WordError(f"strand count {_excerpt(m)} is below 1")
 
 
 def _reduce(pairs):
@@ -57,7 +58,7 @@ class FreeWord:
         _check_strands(self.m)
         for i, e in self.letters:
             if not 1 <= i <= self.m:
-                raise WordError(f"generator index {i} out of range 1..{self.m}")
+                raise WordError(f"generator index {_excerpt(i)} out of range 1..{self.m}")
             if e == 0:
                 raise WordError("zero exponent in reduced word")
         for (i, _), (j, _) in zip(self.letters, self.letters[1:]):
@@ -78,7 +79,7 @@ class FreeWord:
         pairs = tuple(pairs)
         for i, _ in pairs:
             if not 1 <= i <= m:
-                raise WordError(f"generator index {i} out of range 1..{m}")
+                raise WordError(f"generator index {_excerpt(i)} out of range 1..{m}")
         return FreeWord(m, _reduce(pairs))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
@@ -148,7 +149,7 @@ def parse_word(text: str, m: int) -> FreeWord:
     pairs = []
     for kind, i, e in _parse_tokens(text):
         if kind != "g":
-            raise WordError(f"expected g<i> token, got {kind}{i}")
+            raise WordError(f"expected g<i> token, got {_excerpt(kind + str(i))}")
         pairs.append((i, e))
     return FreeWord.make(m, pairs)
 
@@ -188,10 +189,10 @@ class BraidWord:
                 raise WordError(f"braid letter index {i!r} is not an int")
             if kind == "s":
                 if not 2 <= i <= self.m:
-                    raise WordError(f"sigma index {i} out of range 2..{self.m}")
+                    raise WordError(f"sigma index {_excerpt(i)} out of range 2..{self.m}")
             elif kind == "e":
                 if not 1 <= i <= self.m:
-                    raise WordError(f"epsilon index {i} out of range 1..{self.m}")
+                    raise WordError(f"epsilon index {_excerpt(i)} out of range 1..{self.m}")
             else:
                 raise WordError(f"unknown braid letter kind {kind!r}")
             if e not in (1, -1) or type(e) is not int:
@@ -227,17 +228,16 @@ class BraidWord:
 
 
 MAX_BRAID_POWER = 2**20  # letters one braid token may expand to
-MAX_STRANDS = 1024  # strands a CLI word command accepts: it prints m x m matrices
 
 
 def parse_braid(text: str, m: int) -> BraidWord:
     letters = []
     for kind, i, e in _parse_tokens(text):
         if kind not in ("s", "e"):
-            raise WordError(f"expected s<k> or e<i> token, got {kind}{i}")
+            raise WordError(f"expected s<k> or e<i> token, got {_excerpt(kind + str(i))}")
         if abs(e) > MAX_BRAID_POWER:
             raise WordError(
-                f"braid token {_fmt(kind, i, e)} expands to more than "
+                f"braid token {_excerpt(_fmt(kind, i, e))} expands to more than "
                 f"{MAX_BRAID_POWER} letters"
             )
         if e == 0:  # no letter, but the token must name a valid one

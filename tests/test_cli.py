@@ -72,7 +72,7 @@ def test_rep_rejects_framed_burau(capsys):
 
 def test_act_cmd(capsys, files):
     cfg, N = files
-    code, out, _ = run(capsys, "act", "--n-class", "1", "--matrix", N, "s2")
+    code, out, _ = run(capsys, "act", "--matrix", N, "s2")
     assert code == 0
     data = json.loads(out)
     S = data["S"]
@@ -89,24 +89,31 @@ def test_act_cmd(capsys, files):
     assert prod == data["N_out"]["matrix"]
 
 
-def test_act_parity_mismatch(capsys, files):
+@pytest.mark.parametrize("argv", [
+    ["act", "--n-class", "1", "--matrix", "{N}", "s2"],
+    ["character", "--n-class", "1", "--matrix", "{N}", "--g", "g1"],
+])
+def test_n_class_comes_from_the_matrix_file(capsys, files, argv):
+    # the file's n_class is the parity class; the option that repeated it is gone
     _, N = files
-    code, _, err = run(capsys, "act", "--n-class", "0", "--matrix", N, "s2")
-    assert code == 1
+    argv = [a.format(N=N) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert one_line_error(code, out, err), err
+    assert err.startswith("error: braidmono") and "--n-class" in err
+    assert run(capsys, argv[0], *argv[3:])[0] == 0
 
 
 def test_outputs_past_digit_limit(capsys, files):
     # entries of the action grow doubly exponentially in the braid length:
     # (s2 s3')^11 still prints, (s2 s3')^12 passes 4300 decimal digits
     _, N = files
-    code, _, _ = run(capsys, "act", "--n-class", "1", "--matrix", N, "s2 s3' " * 11)
+    code, _, _ = run(capsys, "act", "--matrix", N, "s2 s3' " * 11)
     assert code == 0
-    code, out, err = run(capsys, "act", "--n-class", "1", "--matrix", N, "s2 s3' " * 12)
+    code, out, err = run(capsys, "act", "--matrix", N, "s2 s3' " * 12)
     assert code == 1 and out == ""
     assert err == "error: act: S entry (1,3) has more than 4300 decimal digits\n"
     # characters grow exponentially in the word length
-    code, out, err = run(capsys, "character", "--n-class", "1", "--matrix", N,
-                         "--g", "g2 g3' " * 4200)
+    code, out, err = run(capsys, "character", "--matrix", N, "--g", "g2 g3' " * 4200)
     assert code == 1 and out == ""
     assert err == "error: character: matrix entry (1,1) has more than 4300 decimal digits\n"
 
@@ -135,7 +142,7 @@ def test_every_output_past_digit_limit_is_named(capsys, tmp_path):
 
 def test_character_cmd(capsys, files):
     _, N = files
-    code, out, _ = run(capsys, "character", "--n-class", "1", "--matrix", N, "--g", "1")
+    code, out, _ = run(capsys, "character", "--matrix", N, "--g", "1")
     assert code == 0
     assert json.loads(out)["matrix"] == [[0, 2, -1], [-2, 0, 3], [1, -3, 0]]
 
@@ -145,8 +152,7 @@ def test_character_of_huge_letter_power(capsys, files, e):
     """N rho_N(g1^e) = N - eps e N E_1 N for n = 1 (eps = -1), without
     expanding the power."""
     _, N = files
-    code, out, err = run(capsys, "character", "--n-class", "1", "--matrix", N,
-                         "--g", f"g1^{e}")
+    code, out, err = run(capsys, "character", "--matrix", N, "--g", f"g1^{e}")
     assert (code, err) == (0, "")
     Nin = [[0, 2, -1], [-2, 0, 3], [1, -3, 0]]
     want = [[Nin[r][c] + e * Nin[r][0] * Nin[0][c] for c in range(3)] for r in range(3)]
@@ -156,7 +162,7 @@ def test_character_of_huge_letter_power(capsys, files, e):
 @pytest.mark.parametrize("tok", ["s2^4611686018427387904", "s2^-10000000000000000000"])
 def test_act_refuses_huge_braid_power(capsys, files, tok):
     _, N = files
-    code, out, err = run(capsys, "act", "--n-class", "1", "--matrix", N, f"s3 {tok}")
+    code, out, err = run(capsys, "act", "--matrix", N, f"s3 {tok}")
     assert one_line_error(code, out, err), err
     assert err.startswith(f"error: braid token {tok} expands to more than ")
 
@@ -175,12 +181,14 @@ def test_forward_reconstruct_chi_pipeline(capsys, tmp_path, files):
 
 
 def test_chi_takes_either_config(capsys, tmp_path, files):
-    from braidmono.serialize import config_json, load_config
-
     cfg, N = files
     code, out, _ = run(capsys, "forward", "--config", cfg, "--matrix", N)
     q = write(tmp_path, "Q.json", json.loads(out))
-    tangents = write(tmp_path, "tan.json", config_json(load_config(cfg).cfg))
+    # the fan's points with their tangents toward the basepoint (0, -1) written out
+    tangents = write(tmp_path, "tan.json", {
+        "n_class": 1, "points": [["-2", "4"], ["0", "5"], ["2", "4"]],
+        "tangents": [["2", "-5"], ["0", "-6"], ["-2", "-5"]],
+    })
     for word in ("1:0,2:0", "3:1,1:-2,2:0"):
         via_fan = run(capsys, "chi", "--config", cfg, "--q", q, "--word", word)
         assert via_fan[0] == 0
@@ -191,7 +199,7 @@ def test_matrix_entry_past_digit_limit(capsys, tmp_path):
     big = tmp_path / "big.json"
     for entry in ("1" * 4401, '"' + "1" * 4401 + '"'):  # a JSON number or a string
         big.write_text('{"n_class": 1, "matrix": [[0, ' + entry + "], [-1, 0]]}")
-        code, out, err = run(capsys, "act", "--n-class", "1", "--matrix", str(big), "s2")
+        code, out, err = run(capsys, "act", "--matrix", str(big), "s2")
         assert code == 1 and out == ""
         assert err == (
             f"error: {big}: an integer entry exceeds the interpreter's 4300-digit limit\n"
@@ -287,8 +295,8 @@ def test_pl_cocycle_long_word_is_fast(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    "act --n-class 1 --matrix {ragged} s2",
-    "act --n-class 1 --matrix {scalar} s2",
+    "act --matrix {ragged} s2",
+    "act --matrix {scalar} s2",
     "forward --config {scalar} --matrix {N}",
     "forward --config {cfg} --matrix {scalar}",
     "forward --config {points} --matrix {N}",
@@ -308,7 +316,7 @@ def test_malformed_json_shapes(capsys, tmp_path, files, argv):
 def test_non_integer_matrix_entries(capsys, tmp_path):
     for entry in (1.5, [1], None, "x"):
         bad = write(tmp_path, "bad.json", {"n_class": 1, "matrix": [[0, entry], [-1, 0]]})
-        code, out, err = run(capsys, "act", "--n-class", "1", "--matrix", bad, "s2")
+        code, out, err = run(capsys, "act", "--matrix", bad, "s2")
         assert one_line_error(code, out, err), err
         assert err.startswith(f"error: {bad}: ")
 
@@ -323,7 +331,7 @@ def test_inexact_float_tokens(capsys, tmp_path, files, token):
         '{"n_class": 1, "points": [[-2, ' + token + '], [0, 5]], "basepoint": [0, -1]}'
     )
     for argv, path in (
-        (["act", "--n-class", "1", "--matrix", str(bad_N), "s2"], bad_N),
+        (["act", "--matrix", str(bad_N), "s2"], bad_N),
         (["forward", "--config", str(bad_cfg), "--matrix", N], bad_cfg),
     ):
         code, out, err = run(capsys, *argv)
@@ -352,8 +360,8 @@ def test_chi_deep_twist_is_one_line(capsys, tmp_path, files):
 
 
 @pytest.mark.parametrize("argv", [
-    "character --n-class 1 --matrix {N} --g g1^{big}",
-    "act --n-class 1 --matrix {N} s2^{big}",
+    "character --matrix {N} --g g1^{big}",
+    "act --matrix {N} s2^{big}",
     "pl-cocycle --m 3 s{big}",
     "chi --config {cfg} --q {N} --word 1:0,2:{big},3:0",
 ])
@@ -364,8 +372,47 @@ def test_long_number_token_is_cut(capsys, files, argv):
     assert err.startswith("error: bad ") and len(err) < 150 and " chars)" in err
 
 
+BIG = "1" * 4000  # under the 4300-digit limit, so it parses as a number
+
+
 @pytest.mark.parametrize("argv, msg", [
-    (["act", "--n-class", "1", "--matrix", "{N}", "s9^0"], "sigma index 9 out of range 2..3"),
+    ("character --matrix {N} --g g{big}", "generator index 111"),
+    ("character --matrix {N} --g s{big}", "expected g<i> token, got s111"),
+    ("pl-cocycle --m 3 s2^{big}", "braid token s2^111"),
+    ("pl-cocycle --m 3 x{big}", "expected s<k> or e<i> token, got x111"),
+    ("pl-cocycle --m 3 s{big}", "sigma index 111"),
+    ("act --matrix {N} e{big}", "epsilon index 111"),
+    ("chi --config {cfg} --q {N} --word {big}:0,{big}:0", "repeated adjacent point 111"),
+    ("chi --config {cfg} --q {N} --word 1:0,{big}:0", "point index 111"),
+    ("chi --config {cfg} --q {N} --word 1:0,2:{big},3:0", "chi evaluation recursed too deep"),
+    ("pl-cocycle --m {big} s2", "strand count 111"),
+    ("magnus --m -{big} s2", "strand count -111"),
+    ("rep burau --m x{big} s2", "braidmono rep: argument --m: invalid int value: 'x111"),
+    ("pl-cocycle --m {big}{big} s2", "braidmono pl-cocycle: argument --m: invalid int"),
+    ("act --matrix {diag} s2", "diagonal entry (1,1) = 111"),
+    ("act --matrix {N5} s2", "{N5}: n mod 4 must be 0..3, got 5\n"),
+    ("character --matrix {Nbig} --g g1", "{Nbig}: n mod 4 must be 0..3, got 111"),
+    ("forward --config {cfg} --matrix {N5}", "{N5}: n mod 4 must be 0..3, got 5\n"),
+    ("reconstruct --config {cfg5} --q {N}", "{cfg5}: n mod 4 must be 0..3, got 5\n"),
+    ("chi --config {cfg5} --q {N} --word 1:0,2:0", "{cfg5}: n mod 4 must be 0..3, got 5\n"),
+])
+def test_outside_numbers_are_cut(capsys, tmp_path, files, argv, msg):
+    """A number from the command line or a file is echoed cut short, and a
+    parity class out of range names its file."""
+    cfg, N = files
+    paths = dict(cfg=cfg, N=N, big=BIG, **{k: write(tmp_path, f"{k}.json", v) for k, v in {
+        "diag": {"n_class": 1, "matrix": [[int(BIG)]]},
+        "N5": {"n_class": 5, "matrix": [[0]]},
+        "Nbig": {"n_class": BIG, "matrix": [[0]]},
+        "cfg5": dict(json.loads(open(cfg).read()), n_class=5),
+    }.items()})
+    code, out, err = run(capsys, *argv.format(**paths).split())
+    assert one_line_error(code, out, err), err
+    assert len(err.encode()) < 200 and err.startswith("error: " + msg.format(**paths)), err
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["act", "--matrix", "{N}", "s9^0"], "sigma index 9 out of range 2..3"),
     (["pl-cocycle", "--m", "3", "s9^0 s2"], "sigma index 9 out of range 2..3"),
     (["rep", "burau", "--m", "3", "s7^0"], "sigma index 7 out of range 2..3"),
     (["magnus", "--m", "3", "e4^0"], "epsilon index 4 out of range 1..3"),

@@ -80,22 +80,21 @@ def inputs(draw):
         "character": ["g1 g2'", "1", "g3^5", "g9", "h1"],
         "chi": ["1:0,2:1", "2:0,1:-1,3:2", "1:0", "4:1,1:0", "x", "1:0,1:1"],
     }.get(cmd, [""])))
-    k_arg = draw(st.sampled_from([k] * 6 + [-1, 4]))
     files = {"config": draw(configs(k, m)), "N": draw(matrices(k, m)), "Q": draw(matrices(k, m))}
-    return cmd, word, k_arg, files
+    return cmd, word, files
 
 
-def argv_for(cmd, paths, k, word):
+def argv_for(cmd, paths, word):
     return {
         "forward": ["forward", "--config", paths["config"], "--matrix", paths["N"]],
         "reconstruct": ["reconstruct", "--config", paths["config"], "--q", paths["Q"]],
-        "act": ["act", "--n-class", str(k), "--matrix", paths["N"], word],
-        "character": ["character", "--n-class", str(k), "--matrix", paths["N"], "--g", word],
+        "act": ["act", "--matrix", paths["N"], word],
+        "character": ["character", "--matrix", paths["N"], "--g", word],
         "chi": ["chi", "--config", paths["config"], "--q", paths["Q"], "--word", word],
     }[cmd]
 
 
-def run_cli(cmd, word, k, files):
+def run_cli(cmd, word, files):
     """(exit code, stderr) of one CLI call on the given JSON files."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -105,7 +104,7 @@ def run_cli(cmd, word, k, files):
                 json.dump(obj, fh)
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = main(argv_for(cmd, paths, k, word))
+            code = main(argv_for(cmd, paths, word))
     return code, err.getvalue()
 
 
@@ -181,13 +180,13 @@ def test_word_commands_on_random_tokens(cmd, word, m):
 @pytest.mark.parametrize("argv", [
     [],
     ["act"],
-    ["character", "--n-class", "1"],
+    ["character", "--matrix", "N.json"],
     ["chi", "--config", "c.json", "--q", "q.json"],
     ["pl-cocycle", "--m", "x", "s2"],
     ["magnus", "--m", "2.5", "s2"],
     ["rep", "burau", "--m", "", "s2"],
     ["rep", "no-such-rep", "--m", "2", "s2"],
-    ["act", "--n-class", "one", "--matrix", "N.json", "s2"],
+    ["act", "--matrix", "N.json", "--g", "g1", "s2"],
     ["no-such-command"],
     ["forward", "--config", "c.json", "--matrix", "N.json", "--extra"],
 ])

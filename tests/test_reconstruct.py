@@ -65,6 +65,15 @@ def test_anchor_of_twist_is_generator(rng):
             assert a.word == FreeWord.gen(m, i, -2)
 
 
+def test_anchor_refuses_a_point_out_of_range():
+    fan = build_fan_config([(3, 4)], (0, -1), P1)
+    with pytest.raises(GeometryError) as exc:
+        anchor_word(fan, GroupoidWord((1, 10**4000), (0, 0)))
+    assert str(exc.value) == (
+        "point index 100000000000000000000000... (4001 chars) out of range 1..1"
+    )
+
+
 def test_anchor_functorial(rng):
     for _ in range(15):
         fan = rand_fan(rng, P1, 3, 6)

@@ -8,13 +8,11 @@ from braidmono import AdmissibleConfig, FanConfiguration, ParityClass
 from braidmono.serialize import (
     SerializeError,
     _excerpt,
-    config_json,
     int_matrix_json,
     load_config,
     load_int_matrix,
     monomial_json,
     parse_rational,
-    rational_str,
     require_fan,
     ring_matrix_json,
 )
@@ -23,8 +21,7 @@ from braidmono import parse_braid, pl_cocycle, reduce_reps
 
 def test_rational_roundtrip():
     for s in ["3", "-5", "1/2", "-7/3", "0"]:
-        assert rational_str(parse_rational(s)) == s
-    assert rational_str(Fraction(4, 2)) == "2"
+        assert str(parse_rational(s)) == s
     with pytest.raises(SerializeError):
         parse_rational("x")
     with pytest.raises(SerializeError):
@@ -142,12 +139,6 @@ def test_load_config_fan():
     }
     fan = load_config(obj)
     assert isinstance(fan, FanConfiguration)
-    out = config_json(fan)
-    assert out["n_class"] == 1
-    assert out["basepoint"] == ["0", "-1"]
-    # roundtrip through json text
-    fan2 = load_config(json.loads(json.dumps({k: v for k, v in out.items() if k != "order"})))
-    assert fan2.cfg == fan.cfg
 
 
 def test_load_config_explicit_tangents():
@@ -158,7 +149,6 @@ def test_load_config_explicit_tangents():
     }
     cfg = load_config(obj)
     assert isinstance(cfg, AdmissibleConfig)
-    assert load_config(config_json(cfg)) == cfg
     with pytest.raises(SerializeError):
         require_fan(cfg)
 
