@@ -103,13 +103,13 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_forward(args) -> dict:
-    fan = ser.require_fan(ser.load_config(args.config))
+    fan = ser.require_fan(ser.load_config(args.config), args.config)
     N = ser.load_int_matrix(args.matrix, fan.cfg.parity)
     return ser.int_matrix_json(fan.cfg.parity, forward_Q(fan, N).q)
 
 
 def _cmd_reconstruct(args) -> dict:
-    fan = ser.require_fan(ser.load_config(args.config))
+    fan = ser.require_fan(ser.load_config(args.config), args.config)
     Q = _load_Q(fan.cfg, args.q)
     return ser.int_matrix_json(fan.cfg.parity, reconstruct_N(fan, Q).n)
 
@@ -173,34 +173,55 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict  # on the top-level parser: command name -> its own parser
+
     def error(self, message):  # usage errors, subcommands' too, exit 1 in main
         raise ValueError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
+    """The top-level parser, holding each command's own parser in .commands.
+    An option is matched only when spelled in full."""
     ap = _Parser(
         prog="braidmono",
         description="Exact braid-group cocycles, monodromy characters, and "
         "reconstruction of intersection matrices from straight-line data.",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
     for name, (fn, about, names) in _COMMANDS.items():
-        p = sub.add_parser(name, help=about)
+        p = sub.add_parser(name, help=about, allow_abbrev=False)
         for arg in names:
             p.add_argument(arg, **_ARGS[arg])
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, cmd=name)
+    ap.commands = sub.choices
     return ap
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     """The parser, built on first use and shared by every later call."""
     return build_parser()
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed in one pass: by its command's own parser when argv[0]
+    names a command, else (no command, an unknown one, -h) by the top-level
+    parser.  The top-level parser would run that same command parser inside
+    its own pass, and refuse leftover arguments as this does."""
+    top = _parser()
+    cmd = top.commands.get(argv[0]) if argv else None
+    if cmd is None:
+        return top.parse_args(argv)
+    args, extra = cmd.parse_known_args(argv[1:])
+    if extra:  # reported as the top-level parser reports a command's leftovers
+        top.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         out = args.fn(args)
         if out is not None:
             _emit(args.cmd, out)

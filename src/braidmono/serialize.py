@@ -13,7 +13,7 @@ import json
 import sys
 from decimal import Decimal
 
-from .geometry import RationalPoint, _exact, validate_admissible
+from .geometry import GeometryError, RationalPoint, _exact, validate_admissible
 from .matrices import MonomialGammaMatrix, RingMatrix
 from .monodromy import IntersectionMatrix, ParityClass, ParityError, validate_N
 from .reconstruct import FanConfiguration, build_fan_config
@@ -129,32 +129,37 @@ def load_config(obj):
 
     With "basepoint" -> FanConfiguration (tangents are then forced toward
     the basepoint and must not also be given); with "tangents" ->
-    AdmissibleConfig.  One of the two is required.
+    AdmissibleConfig.  One of the two is required.  A GeometryError names
+    the source.
     """
     source, obj = _object(obj, "config")
     parity = parse_parity(obj, source)
     if not obj.get("points"):
         raise SerializeError(f'{source}: missing or empty "points"')
     points = [RationalPoint(*_parse_point(p, source)) for p in _rows(obj, "points", source)]
-    if "basepoint" in obj:
-        if obj.get("tangents") is not None:
-            raise SerializeError(f"{source}: give either basepoint or tangents, not both")
-        z0 = RationalPoint(*_parse_point(obj["basepoint"], source))
-        return build_fan_config(points, z0, parity)
-    if "tangents" in obj:
-        tans = [_parse_point(v, source) for v in _rows(obj, "tangents", source)]
-        return validate_admissible(points, tans, parity)
+    try:
+        if "basepoint" in obj:
+            if obj.get("tangents") is not None:
+                raise SerializeError(f"{source}: give either basepoint or tangents, not both")
+            z0 = RationalPoint(*_parse_point(obj["basepoint"], source))
+            return build_fan_config(points, z0, parity)
+        if "tangents" in obj:
+            tans = [_parse_point(v, source) for v in _rows(obj, "tangents", source)]
+            return validate_admissible(points, tans, parity)
+    except GeometryError as exc:
+        raise GeometryError(f"{source}: {exc}") from None
     raise SerializeError(f'{source}: config needs a "basepoint" or "tangents" field')
 
 
-def require_fan(config) -> FanConfiguration:
+def require_fan(config, source: str = "config") -> FanConfiguration:
     if not isinstance(config, FanConfiguration):
-        raise SerializeError('this command needs a config with a "basepoint"')
+        raise SerializeError(f'{source}: this command needs a config with a "basepoint"')
     return config
 
 
 def load_int_matrix(obj, expect_parity: ParityClass | None = None) -> IntersectionMatrix:
-    """Parse {"n_class": k, "matrix": [[int]]}, validating the parity laws."""
+    """Parse {"n_class": k, "matrix": [[int]]}, validating the parity laws;
+    a fault names the source."""
     source, obj = _object(obj, "matrix")
     parity = parse_parity(obj, source)
     if expect_parity is not None and parity != expect_parity:
@@ -163,8 +168,11 @@ def load_int_matrix(obj, expect_parity: ParityClass | None = None) -> Intersecti
         )
     if "matrix" not in obj:
         raise SerializeError(f'{source}: missing "matrix" field')
-    rows = _rows(obj, "matrix", source)
-    return validate_N(parity, [[_to_int(x, source) for x in r] for r in rows])
+    rows = [[_to_int(x, source) for x in r] for r in _rows(obj, "matrix", source)]
+    try:
+        return validate_N(parity, rows)
+    except ParityError as exc:
+        raise SerializeError(f"{source}: {exc}") from None
 
 
 def int_matrix_json(parity: ParityClass, rows) -> dict:

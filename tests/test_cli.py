@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -389,26 +392,140 @@ BIG = "1" * 4000  # under the 4300-digit limit, so it parses as a number
     ("magnus --m -{big} s2", "strand count -111"),
     ("rep burau --m x{big} s2", "braidmono rep: argument --m: invalid int value: 'x111"),
     ("pl-cocycle --m {big}{big} s2", "braidmono pl-cocycle: argument --m: invalid int"),
-    ("act --matrix {diag} s2", "diagonal entry (1,1) = 111"),
+    ("act --matrix {diag} s2", "{diag}: diagonal entry (1,1) = 111"),
     ("act --matrix {N5} s2", "{N5}: n mod 4 must be 0..3, got 5\n"),
     ("character --matrix {Nbig} --g g1", "{Nbig}: n mod 4 must be 0..3, got 111"),
     ("forward --config {cfg} --matrix {N5}", "{N5}: n mod 4 must be 0..3, got 5\n"),
     ("reconstruct --config {cfg5} --q {N}", "{cfg5}: n mod 4 must be 0..3, got 5\n"),
     ("chi --config {cfg5} --q {N} --word 1:0,2:0", "{cfg5}: n mod 4 must be 0..3, got 5\n"),
+    ("act --matrix {diag7} s2", "{diag7}: diagonal entry (1,1) = 7, must be 0\n"),
+    ("character --matrix {sym} --g g1", "{sym}: symmetry violated at (1,2): 2 != -1*2\n"),
+    ("forward --config {cfg} --matrix {diag7}",
+     "{diag7}: diagonal entry (1,1) = 7, must be 0\n"),
+    ("reconstruct --config {cfg} --q {sym}", "{sym}: symmetry violated at (1,2): 2 != -1*2\n"),
+    ("chi --config {cfg} --q {diag7} --word 1:0",
+     "{diag7}: diagonal entry (1,1) = 7, must be 0\n"),
+    ("reconstruct --config {tangents} --q {N}",
+     '{tangents}: this command needs a config with a "basepoint"\n'),
+    ("chi --config {collinear} --q {N} --word 1:0",
+     "{collinear}: collinear triple (1, 2, 3)\n"),
+    ("chi --config {duplicate} --q {N} --word 1:0",
+     "{duplicate}: duplicate point at indices 1, 2\n"),
+    ("forward --config {inside} --matrix {N}",
+     "{inside}: basepoint lies inside the convex hull of the points\n"),
 ])
 def test_outside_numbers_are_cut(capsys, tmp_path, files, argv, msg):
     """A number from the command line or a file is echoed cut short, and a
-    parity class out of range names its file."""
+    fault in an input file (a parity class out of range, a broken parity
+    law, a bad configuration) names the file."""
     cfg, N = files
     paths = dict(cfg=cfg, N=N, big=BIG, **{k: write(tmp_path, f"{k}.json", v) for k, v in {
         "diag": {"n_class": 1, "matrix": [[int(BIG)]]},
         "N5": {"n_class": 5, "matrix": [[0]]},
         "Nbig": {"n_class": BIG, "matrix": [[0]]},
         "cfg5": dict(json.loads(open(cfg).read()), n_class=5),
+        "diag7": {"n_class": 1, "matrix": [[7]]},
+        "sym": {"n_class": 1, "matrix": [[0, 2], [2, 0]]},
+        "tangents": {"n_class": 1, "points": [["-2", "4"], ["0", "5"], ["2", "4"]],
+                     "tangents": [["2", "-5"], ["0", "-6"], ["-2", "-5"]]},
+        "collinear": {"n_class": 1, "points": [[0, 1], [1, 2], [2, 3]],
+                      "tangents": [[1, 0], [1, 0], [1, 0]]},
+        "duplicate": {"n_class": 1, "points": [[0, 4], [0, 4]], "tangents": [[1, 0], [0, 1]]},
+        "inside": {"n_class": 1, "points": [["-9/2", 4], [5, "7/2"], [0, -6]],
+                   "basepoint": [0, "1/3"]},
     }.items()})
     code, out, err = run(capsys, *argv.format(**paths).split())
     assert one_line_error(code, out, err), err
     assert len(err.encode()) < 200 and err.startswith("error: " + msg.format(**paths)), err
+
+
+@pytest.mark.parametrize("argv, msg", [
+    ("act --matrix {N} --m 3 s2", "braidmono: unrecognized arguments: --m s2"),
+    ("forward --config {cfg} --matrix {N} --conf {cfg}",
+     "braidmono: unrecognized arguments: --conf {cfg}"),
+    ("forward --conf {cfg} --matrix {N}",
+     "braidmono forward: the following arguments are required: --config"),
+    ("character --mat {N} --g g1",
+     "braidmono character: the following arguments are required: --matrix"),
+    ("--he", "braidmono: the following arguments are required: cmd"),
+])
+def test_options_are_spelled_in_full(capsys, files, argv, msg):
+    # an option's prefix, another command's option among them, is no option
+    cfg, N = files
+    code, out, err = run(capsys, *argv.format(cfg=cfg, N=N).split())
+    assert one_line_error(code, out, err), err
+    assert err == f"error: {msg.format(cfg=cfg)}\n"
+
+
+VALID_ARGS = {
+    "pl-cocycle": ["--m", "3", "s2"],
+    "magnus": ["--m", "2", "s2"],
+    "rep": ["burau", "--m", "2", "s2"],
+    "act": ["--matrix", "{N}", "s2"],
+    "character": ["--matrix", "{N}", "--g", "g1"],
+    "chi": ["--config", "{cfg}", "--q", "{N}", "--word", "1:0,2:0"],
+    "forward": ["--config", "{cfg}", "--matrix", "{N}"],
+    "reconstruct": ["--config", "{cfg}", "--q", "{N}"],
+    "cover-example": [],
+}
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), help's SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", VALID_ARGS)
+def test_dispatch_matches_top_level_parse(capsys, monkeypatch, files, name):
+    """main parses with the command's own parser; the top-level parser,
+    which runs that same parser inside its own pass, is the reference."""
+    from braidmono import cli
+
+    assert set(VALID_ARGS) == set(cli._COMMANDS)
+    cfg, N = files
+    args = [a.format(cfg=cfg, N=N) for a in VALID_ARGS[name]]
+    cases = [
+        [name, *args],
+        *([name, *args[:i], *args[i + 1:]] for i in range(len(args))),  # one token short
+        [name, *args, "--nope"],
+        [name, *args, "--mat", N],
+        [name, *(a[:4] if a.startswith("--") and len(a) > 4 else a for a in args)],
+        [name, "--m", "x", *args],
+        [name, *args, "--m", "-" + "1" * 5000],
+        [name, "--", *args],
+        [name, *args, "extra"],
+        [name, "--help"],
+        [name, *args, "-h"],
+        [name, "--he"],
+        [],
+        ["nope"],
+        ["--help"],
+        ["-h"],
+        ["--he", name],
+        ["--", name, *args],
+    ]
+    got = [outcome(capsys, argv) for argv in cases]
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._parser().parse_args(argv))
+    want = [outcome(capsys, argv) for argv in cases]
+    for argv, g, w in zip(cases, got, want):
+        assert g == w, argv
+    assert got[0][0] == 0
+
+
+def test_parser_is_built_on_first_use():
+    # importing the CLI builds no parser: that cost is paid by the first call
+    from braidmono import cli
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import braidmono.cli as c; print(c._parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "0\n"
 
 
 @pytest.mark.parametrize("argv, msg", [
