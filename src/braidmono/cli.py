@@ -21,7 +21,6 @@ from .monodromy import (
     validate_N,
 )
 from .groupoid import chi_evaluate, parse_groupoid_word, validate_Q
-from .geometry import AdmissibleConfig
 from .reconstruct import FanConfiguration, forward_Q, reconstruct_N
 from . import serialize as ser
 
@@ -90,27 +89,23 @@ def _cmd_character(args) -> dict:
     return {"matrix": character(N, g)}
 
 
-def _load_Q(cfg: AdmissibleConfig, path):
-    return validate_Q(cfg, ser.load_int_matrix(path, cfg.parity))
-
-
 def _cmd_chi(args) -> int:
     config = ser.load_config(args.config)
     if isinstance(config, FanConfiguration):
         config = config.cfg
-    Q = _load_Q(config, args.q)
+    Q = validate_Q(config, ser.load_int_matrix(args.q, config))
     return chi_evaluate(Q, parse_groupoid_word(args.word))
 
 
 def _cmd_forward(args) -> dict:
     fan = ser.require_fan(ser.load_config(args.config), args.config)
-    N = ser.load_int_matrix(args.matrix, fan.cfg.parity)
+    N = ser.load_int_matrix(args.matrix, fan.cfg)
     return ser.int_matrix_json(fan.cfg.parity, forward_Q(fan, N).q)
 
 
 def _cmd_reconstruct(args) -> dict:
     fan = ser.require_fan(ser.load_config(args.config), args.config)
-    Q = _load_Q(fan.cfg, args.q)
+    Q = validate_Q(fan.cfg, ser.load_int_matrix(args.q, fan.cfg))
     return ser.int_matrix_json(fan.cfg.parity, reconstruct_N(fan, Q).n)
 
 

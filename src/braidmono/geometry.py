@@ -29,6 +29,12 @@ class GeometryError(ValueError):
     pass
 
 
+class CollinearError(GeometryError):
+    def __init__(self, triple: tuple):  # three points on a line, by 1-based index
+        super().__init__(f"collinear triple {triple}")
+        self.triple = triple
+
+
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
@@ -150,7 +156,7 @@ def _tabulate(pts, tans, parity, xy, dirs) -> AdmissibleConfig:
             for k in range(j + 1, m + 1):
                 s = ux * (xy[k][1] - yi) - uy * (xy[k][0] - xi)
                 if s == 0:
-                    raise GeometryError(f"collinear triple ({i}, {j}, {k})")
+                    raise CollinearError((i, j, k))
                 a, b, c = (i, j, k) if s > 0 else (j, i, k)  # (a, b, c) is ccw
                 left[a][b] |= 1 << c
                 left[b][c] |= 1 << a

@@ -60,10 +60,6 @@ class RingMatrix:
     def transpose(self) -> "RingMatrix":
         return RingMatrix.from_fn(self.m, lambda i, j: self.rows[j][i])
 
-    def conj_transpose(self) -> "RingMatrix":
-        """Entrywise involution, then transpose (group-ring entries only)."""
-        return RingMatrix.from_fn(self.m, lambda i, j: self.rows[j][i].involute())
-
     def act(self, b: BraidWord) -> "RingMatrix":
         return RingMatrix.from_fn(self.m, lambda i, j: self.rows[i][j].act(b))
 

@@ -32,6 +32,7 @@ from operator import itemgetter
 from .words import FreeWord, _excerpt
 from .geometry import (
     AdmissibleConfig,
+    CollinearError,
     GeometryError,
     RationalPoint,
     _exact,
@@ -90,7 +91,8 @@ def build_fan_config(points, z0, parity: ParityClass) -> FanConfiguration:
             c = xi * dirs[j][1] - yi * dirs[j][0]
             if c == 0:
                 raise GeometryError(
-                    f"points {i + 1} and {j + 1} are collinear with the basepoint"
+                    f"duplicate point at indices {i + 1}, {j + 1}" if dirs[i] == dirs[j]
+                    else f"points {i + 1} and {j + 1} are collinear with the basepoint"
                 )
             ccw[i if c > 0 else j] += 1
     # z0 is strictly outside the hull iff the view directions lie in an
@@ -105,7 +107,10 @@ def build_fan_config(points, z0, parity: ParityClass) -> FanConfiguration:
     tans = [(-dirs[t][0], -dirs[t][1]) for t in idx]
     if scale != 1:
         tans = [(_exact(Fraction(x, scale)), _exact(Fraction(y, scale))) for x, y in tans]
-    cfg = _tabulate([pts[t] for t in idx], tans, parity, [xy[t + 1] for t in idx], None)
+    try:
+        cfg = _tabulate([pts[t] for t in idx], tans, parity, [xy[t + 1] for t in idx], None)
+    except CollinearError as exc:  # name the points by input position, not fan position
+        raise CollinearError(tuple(sorted(idx[k - 1] + 1 for k in exc.triple))) from None
     return FanConfiguration(cfg, z0, tuple(c + 1 for c in ccw))
 
 

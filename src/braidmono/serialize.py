@@ -13,9 +13,9 @@ import json
 import sys
 from decimal import Decimal
 
-from .geometry import GeometryError, RationalPoint, _exact, validate_admissible
+from .geometry import AdmissibleConfig, GeometryError, RationalPoint, _exact, validate_admissible
 from .matrices import MonomialGammaMatrix, RingMatrix
-from .monodromy import IntersectionMatrix, ParityClass, ParityError, validate_N
+from .monodromy import IntersectionMatrix, ParityClass, validate_N
 from .reconstruct import FanConfiguration, build_fan_config
 from .words import _excerpt
 
@@ -24,15 +24,12 @@ class SerializeError(ValueError):
     pass
 
 
-def parse_rational(s, source: str = ""):
+def parse_rational(s):
     """An int or, when not integral, a Fraction from an int, an integral
     float or a "p/q" or decimal string (geometry._exact).  Booleans and
-    other floats are refused.  Errors start with source, when given."""
-    where = f"{source}: " if source else ""
+    other floats are refused."""
     if isinstance(s, float) and not s.is_integer():
-        raise SerializeError(
-            f'{where}float {s!r} is not an integer, write it as a "p/q" string'
-        )
+        raise SerializeError(f'float {s!r} is not an integer, write it as a "p/q" string')
     reason = "a boolean is not a number"
     if not isinstance(s, bool):
         try:
@@ -42,12 +39,12 @@ def parse_rational(s, source: str = ""):
         except (ValueError, TypeError) as exc:
             # Fraction's own message may echo the whole token
             reason = "not a rational number" if repr(s) in str(exc) else str(exc)
-    raise SerializeError(f"{where}bad rational {_excerpt(repr(s))}: {reason}")
+    raise SerializeError(f"bad rational {_excerpt(repr(s))}: {reason}")
 
 
-def _too_many_digits(source: str) -> SerializeError:
+def _too_many_digits() -> SerializeError:
     return SerializeError(
-        f"{source}: an integer entry exceeds the interpreter's "
+        "an integer entry exceeds the interpreter's "
         f"{sys.get_int_max_str_digits()}-digit limit"
     )
 
@@ -60,22 +57,34 @@ def _read_json(path: str):
                 return float(token)
         except ArithmeticError:  # an exponent past Decimal's range
             pass
-        raise SerializeError(
-            f'{path}: float {_excerpt(token)} is inexact, write it as a "p/q" string'
-        )
+        raise SerializeError(f'float {_excerpt(token)} is inexact, write it as a "p/q" string')
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_float=exact_float)
-        except (json.JSONDecodeError, UnicodeDecodeError, SerializeError):
-            raise
-        except ValueError:
+        except ValueError as exc:
             # json raises a bare ValueError only from int() on an integer
             # literal past the interpreter's limit on decimal conversion
-            raise _too_many_digits(path) from None
+            if type(exc) is ValueError:
+                raise _too_many_digits() from None
+            raise
 
 
-def _to_int(x, source: str) -> int:
+def _load(obj, what: str, parse, *args):
+    """parse(the JSON object obj, or the one in the file at the path obj,
+    *args).  A fault met on the way names the path (what, for an object):
+    a GeometryError stays one, others become SerializeErrors; OSErrors pass."""
+    try:
+        value = _read_json(obj) if isinstance(obj, str) else obj
+        if not isinstance(value, dict):
+            raise SerializeError("top-level JSON value must be an object")
+        return parse(value, *args)
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        kind = GeometryError if isinstance(exc, GeometryError) else SerializeError
+        raise kind(f"{obj if isinstance(obj, str) else what}: {exc}") from None
+
+
+def _to_int(x) -> int:
     """An int from a JSON integer, an integral float or a decimal string."""
     if isinstance(x, float) and x.is_integer():
         x = int(x)
@@ -85,70 +94,54 @@ def _to_int(x, source: str) -> int:
         except ValueError:
             limit = sys.get_int_max_str_digits()
             if limit and len(x.strip().lstrip("+-")) > limit:
-                raise _too_many_digits(source) from None
-    raise SerializeError(f"{source}: {_excerpt(repr(x))} is not an integer")
+                raise _too_many_digits() from None
+    raise SerializeError(f"{_excerpt(repr(x))} is not an integer")
 
 
-def _object(obj, what: str):
-    """(source, JSON object) for a file path or an already parsed value."""
-    source = what
-    if isinstance(obj, str):
-        source, obj = obj, _read_json(obj)
-    if not isinstance(obj, dict):
-        raise SerializeError(f"{source}: top-level JSON value must be an object")
-    return source, obj
-
-
-def _rows(obj: dict, key: str, source: str) -> list:
+def _rows(obj: dict, key: str) -> list:
     """obj[key], checked to be a list of lists."""
     rows = obj[key]
     if not isinstance(rows, list) or not all(isinstance(r, (list, tuple)) for r in rows):
-        raise SerializeError(f'{source}: "{key}" must be a list of lists')
+        raise SerializeError(f'"{key}" must be a list of lists')
     return rows
 
 
-def _parse_point(item, source: str):
+def _parse_point(item):
     if not isinstance(item, (list, tuple)) or len(item) != 2:
-        raise SerializeError(
-            f"{source}: point must be a [x, y] pair, got {_excerpt(repr(item))}"
-        )
-    return parse_rational(item[0], source), parse_rational(item[1], source)
+        raise SerializeError(f"point must be a [x, y] pair, got {_excerpt(repr(item))}")
+    return parse_rational(item[0]), parse_rational(item[1])
 
 
-def parse_parity(obj: dict, source: str) -> ParityClass:
+def parse_parity(obj: dict) -> ParityClass:
     if "n_class" not in obj:
-        raise SerializeError(f'{source}: missing "n_class" field')
-    try:
-        return ParityClass(_to_int(obj["n_class"], source))
-    except ParityError as exc:
-        raise SerializeError(f"{source}: {exc}") from None
+        raise SerializeError('missing "n_class" field')
+    return ParityClass(_to_int(obj["n_class"]))
 
 
 def load_config(obj):
-    """Parse a configuration object.
+    """Parse a configuration object, or the file at the path obj.
 
     With "basepoint" -> FanConfiguration (tangents are then forced toward
     the basepoint and must not also be given); with "tangents" ->
-    AdmissibleConfig.  One of the two is required.  A GeometryError names
-    the source.
+    AdmissibleConfig.  One of the two is required.
     """
-    source, obj = _object(obj, "config")
-    parity = parse_parity(obj, source)
+    return _load(obj, "config", _config)
+
+
+def _config(obj: dict):
+    parity = parse_parity(obj)
     if not obj.get("points"):
-        raise SerializeError(f'{source}: missing or empty "points"')
-    points = [RationalPoint(*_parse_point(p, source)) for p in _rows(obj, "points", source)]
-    try:
-        if "basepoint" in obj:
-            if obj.get("tangents") is not None:
-                raise SerializeError(f"{source}: give either basepoint or tangents, not both")
-            z0 = RationalPoint(*_parse_point(obj["basepoint"], source))
-            return build_fan_config(points, z0, parity)
-        if "tangents" in obj:
-            tans = [_parse_point(v, source) for v in _rows(obj, "tangents", source)]
-            return validate_admissible(points, tans, parity)
-    except GeometryError as exc:
-        raise GeometryError(f"{source}: {exc}") from None
-    raise SerializeError(f'{source}: config needs a "basepoint" or "tangents" field')
+        raise SerializeError('missing or empty "points"')
+    points = [RationalPoint(*_parse_point(p)) for p in _rows(obj, "points")]
+    if "basepoint" in obj:
+        if obj.get("tangents") is not None:
+            raise SerializeError("give either basepoint or tangents, not both")
+        z0 = RationalPoint(*_parse_point(obj["basepoint"]))
+        return build_fan_config(points, z0, parity)
+    if "tangents" in obj:
+        tans = [_parse_point(v) for v in _rows(obj, "tangents")]
+        return validate_admissible(points, tans, parity)
+    raise SerializeError('config needs a "basepoint" or "tangents" field')
 
 
 def require_fan(config, source: str = "config") -> FanConfiguration:
@@ -157,22 +150,25 @@ def require_fan(config, source: str = "config") -> FanConfiguration:
     return config
 
 
-def load_int_matrix(obj, expect_parity: ParityClass | None = None) -> IntersectionMatrix:
-    """Parse {"n_class": k, "matrix": [[int]]}, validating the parity laws;
-    a fault names the source."""
-    source, obj = _object(obj, "matrix")
-    parity = parse_parity(obj, source)
-    if expect_parity is not None and parity != expect_parity:
+def load_int_matrix(obj, config: AdmissibleConfig | None = None) -> IntersectionMatrix:
+    """Parse {"n_class": k, "matrix": [[int]]}, or the file at the path obj,
+    validating the parity laws and, given a configuration, that the matrix
+    has its parity class and one row per point."""
+    return _load(obj, "matrix", _int_matrix, config)
+
+
+def _int_matrix(obj: dict, config: AdmissibleConfig | None) -> IntersectionMatrix:
+    parity = parse_parity(obj)
+    if config is not None and parity != config.parity:
         raise SerializeError(
-            f"{source}: n_class {parity.n_mod_4} != expected {expect_parity.n_mod_4}"
+            f"n_class {parity.n_mod_4}, the configuration's is {config.parity.n_mod_4}"
         )
     if "matrix" not in obj:
-        raise SerializeError(f'{source}: missing "matrix" field')
-    rows = [[_to_int(x, source) for x in r] for r in _rows(obj, "matrix", source)]
-    try:
-        return validate_N(parity, rows)
-    except ParityError as exc:
-        raise SerializeError(f"{source}: {exc}") from None
+        raise SerializeError('missing "matrix" field')
+    N = validate_N(parity, [[_to_int(x) for x in r] for r in _rows(obj, "matrix")])
+    if config is not None and N.m != config.m:
+        raise SerializeError(f"matrix is {N.m}x{N.m}, the configuration has {config.m} points")
+    return N
 
 
 def int_matrix_json(parity: ParityClass, rows) -> dict:

@@ -316,6 +316,42 @@ def test_malformed_json_shapes(capsys, tmp_path, files, argv):
     assert any(path in err for path in paths.values())
 
 
+UNREADABLE = {  # bytes that are no JSON object: each fault names its file
+    "truncated": b'{"n_class": 1,\n"matrix"',
+    "latin1": b'{"n_class": 1, "matrix": [[0, "\xff"], [1, 0]]}',
+    "deep": b"[" * 10**5 + b"]" * 10**5,
+}
+
+
+@pytest.mark.parametrize("argv, bad", [
+    ("chi --config {cfg} --q {bad} --word 1:0", "truncated"),
+    ("reconstruct --config {cfg} --q {bad}", "truncated"),
+    ("act --matrix {bad} s2", "latin1"),
+    ("forward --config {bad} --matrix {N}", "latin1"),
+    ("character --matrix {bad} --g g1", "deep"),
+])
+def test_unreadable_json_names_the_file(capsys, tmp_path, files, argv, bad):
+    cfg, N = files
+    path = tmp_path / f"{bad}.json"
+    path.write_bytes(UNREADABLE[bad])
+    code, out, err = run(capsys, *argv.format(cfg=cfg, N=N, bad=path).split())
+    assert one_line_error(code, out, err), err
+    assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "forward --config {cfg} --matrix {N2}",
+    "reconstruct --config {cfg} --q {N2}",
+    "chi --config {cfg} --q {N2} --word 1:0",
+])
+def test_matrix_that_does_not_fit_the_config_names_its_file(capsys, tmp_path, files, argv):
+    cfg, _ = files
+    N2 = write(tmp_path, "N2.json", {"n_class": 1, "matrix": [[0, 2], [-2, 0]]})
+    code, out, err = run(capsys, *argv.format(cfg=cfg, N2=N2).split())
+    assert one_line_error(code, out, err), err
+    assert err == f"error: {N2}: matrix is 2x2, the configuration has 3 points\n"
+
+
 def test_non_integer_matrix_entries(capsys, tmp_path):
     for entry in (1.5, [1], None, "x"):
         bad = write(tmp_path, "bad.json", {"n_class": 1, "matrix": [[0, entry], [-1, 0]]})

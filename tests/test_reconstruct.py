@@ -18,6 +18,7 @@ from braidmono import (
     mu_index,
     reconstruct_N,
     validate_Q,
+    validate_admissible,
 )
 from braidmono.reconstruct import _anchor_segment
 from conftest import rand_N, rand_fan, rand_groupoid_points
@@ -50,6 +51,23 @@ def test_fan_single_point():
     fan = build_fan_config([(3, 4)], (0, -1), P1)
     assert fan.order == (1,)
     assert fan.cfg.tangents[0] == (-3, -5)
+
+
+@pytest.mark.parametrize("pts, msg", [
+    ([(3, 4), (1, 2), (3, 4)], "duplicate point at indices 1, 3"),
+    ([(10, 10), (0, 10), (-10, 10), (5, 30)], "collinear triple (1, 2, 3)"),
+    ([(5, 30), (-10, 10), (7, 9), (10, 10), (0, 10)], "collinear triple (2, 4, 5)"),
+])
+def test_fan_errors_name_input_points(pts, msg):
+    """A fan names faulty points by their place in the input, as the
+    tangent path does, not by their clockwise place in the fan."""
+    for build in (
+        lambda: build_fan_config(pts, (0, -5), P1),
+        lambda: validate_admissible(pts, [(1, -1)] * len(pts), P1),
+    ):
+        with pytest.raises(GeometryError) as exc:
+            build()
+        assert str(exc.value) == msg
 
 
 # --- anchors ----------------------------------------------------------------

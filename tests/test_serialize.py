@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidmono import AdmissibleConfig, FanConfiguration, ParityClass
+from braidmono import AdmissibleConfig, FanConfiguration
 from braidmono.serialize import (
     SerializeError,
     _excerpt,
@@ -104,9 +104,9 @@ def test_huge_exponents_are_refused(tmp_path):
     limit = sys.get_int_max_str_digits()
     for token in ("1e50000000", "1e-50000000", f"2E+{limit + 1}", f"1e{limit}1"):
         with pytest.raises(SerializeError) as exc:
-            parse_rational(token, "cfg.json")
+            parse_rational(token)
         assert str(exc.value) == (
-            f"cfg.json: bad rational {_excerpt(repr(token))}: "
+            f"bad rational {_excerpt(repr(token))}: "
             f"exponent past the {limit}-digit limit"
         )
     assert parse_rational(f"1e{limit}") == 10**limit
@@ -185,8 +185,17 @@ def test_int_matrix_roundtrip(tmp_path):
     N = load_int_matrix(str(f))
     assert N.n == ((0, 2), (-2, 0))
     assert int_matrix_json(N.parity, N.rows()) == obj
-    with pytest.raises(SerializeError):
-        load_int_matrix(obj, ParityClass(0))
+    fan = {"n_class": 1, "points": [["-2", "4"], ["2", "4"]], "basepoint": ["0", "-1"]}
+    assert load_int_matrix(str(f), load_config(fan).cfg) == N
+    # a matrix that does not fit the configuration names the matrix file
+    for cfg, msg in [
+        (dict(fan, n_class=0), "n_class 1, the configuration's is 0"),
+        (dict(fan, points=[["-2", "4"], ["0", "5"], ["2", "4"]]),
+         "matrix is 2x2, the configuration has 3 points"),
+    ]:
+        with pytest.raises(SerializeError) as exc:
+            load_int_matrix(str(f), load_config(cfg).cfg)
+        assert str(exc.value) == f"{f}: {msg}"
 
 
 def test_ring_matrix_json_entries():
