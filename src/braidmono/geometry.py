@@ -150,17 +150,23 @@ def _tabulate(pts, tans, parity, xy, dirs) -> AdmissibleConfig:
     xy = [None, *xy]  # 1-based
     left = [[0] * (m + 1) for _ in range(m + 1)]
     for i in range(1, m + 1):
-        xi, yi = xy[i]
+        (xi, yi), left_i, bit_i = xy[i], left[i], 1 << i
         for j in range(i + 1, m + 1):
-            ux, uy = xy[j][0] - xi, xy[j][1] - yi
+            (xj, yj), left_j, bit_j = xy[j], left[j], 1 << j
+            ux, uy = xj - xi, yj - yi
             for k in range(j + 1, m + 1):
-                s = ux * (xy[k][1] - yi) - uy * (xy[k][0] - xi)
-                if s == 0:
+                xk, yk = xy[k]
+                s = ux * (yk - yi) - uy * (xk - xi)
+                if s > 0:  # (i, j, k) is ccw
+                    left_i[j] |= 1 << k
+                    left_j[k] |= bit_i
+                    left[k][i] |= bit_j
+                elif s < 0:  # (j, i, k) is ccw
+                    left_j[i] |= 1 << k
+                    left_i[k] |= bit_j
+                    left[k][j] |= bit_i
+                else:
                     raise CollinearError((i, j, k))
-                a, b, c = (i, j, k) if s > 0 else (j, i, k)  # (a, b, c) is ccw
-                left[a][b] |= 1 << c
-                left[b][c] |= 1 << a
-                left[c][a] |= 1 << b
     sides = [(0, 0)]
     for i in range(1, m + 1):
         if dirs is None:

@@ -149,9 +149,10 @@ def hop_words(fan: FanConfiguration) -> list:
     return [GroupoidWord((k, k + 1), (-1, 0)) for k in range(1, fan.cfg.m)]
 
 
-def _interval_push(fan: FanConfiguration, rows, i: int, j: int) -> int:
+def _interval_push(fan: FanConfiguration, rows, i: int, j: int, c: int) -> int:
     """Entry j (0-based, i < j) of row i of N, given by its rows, pushed
-    through the anchor of s(z_{i+1}, z_{j+1}).
+    through the anchor of s(z_{i+1}, z_{j+1}); c is the parity class's
+    rho_coeff(1).
 
     The anchor steps through g_{i+1} and the interior points of the
     triangle (z0, z_{i+1}, z_{j+1}), each with coefficient eps.  The push
@@ -159,7 +160,7 @@ def _interval_push(fan: FanConfiguration, rows, i: int, j: int) -> int:
     so it runs on those columns alone: O(r^2) for r interior points.
     """
     cols = _anchor_columns(fan, i, j)
-    window, c = itemgetter(*cols, j), fan.cfg.parity.rho_coeff(1)
+    window = itemgetter(*cols, j)
     steps = [(t, c, window(rows[a])) for t, a in enumerate(cols)]
     return _times_rho(steps[0][2], steps)[-1]
 
@@ -172,11 +173,11 @@ def forward_Q(fan: FanConfiguration, N: IntersectionMatrix) -> StraightLineData:
         raise GeometryError(f"matrix size {N.m} vs {cfg.m} points")
     if N.parity != cfg.parity:
         raise GeometryError("parity class mismatch between N and the fan")
-    sgn = cfg.parity.sgn
+    sgn, c = cfg.parity.sgn, cfg.parity.rho_coeff(1)
     rows = N.rows()  # its diagonal is the forced one
     for j in range(1, cfg.m):
         for i in range(j):
-            q = _interval_push(fan, N.n, i, j)
+            q = _interval_push(fan, N.n, i, j, c)
             rows[i][j], rows[j][i] = q, sgn * q
     return validate_Q(cfg, rows)
 
@@ -193,10 +194,10 @@ def reconstruct_N(fan: FanConfiguration, Q: StraightLineData) -> IntersectionMat
     cfg = fan.cfg
     if Q.cfg is not cfg and Q.cfg != cfg:
         raise GeometryError("Q is not indexed by this fan configuration")
-    m, parity, sgn = cfg.m, cfg.parity, cfg.parity.sgn
+    m, parity, sgn, c = cfg.m, cfg.parity, cfg.parity.sgn, cfg.parity.rho_coeff(1)
     rows = [[parity.diag if a == b else 0 for b in range(m)] for a in range(m)]
     for j in range(1, m):  # 0-based from here on
         for i in range(j - 1, -1, -1):
-            val = sgn * (_interval_push(fan, rows, i, j) - Q.q[i][j])
+            val = sgn * (_interval_push(fan, rows, i, j, c) - Q.q[i][j])
             rows[i][j], rows[j][i] = val, sgn * val
     return validate_N(parity, rows)

@@ -4,7 +4,9 @@ with optional basepoint, and string rendering of ring-valued matrices.
 
 A coordinate reads as an int when it is integral and as a Fraction only
 when it is not (geometry._exact).  JSON booleans are refused, as is a
-decimal string whose exponent passes sys.get_int_max_str_digits().
+decimal string whose exponent passes sys.get_int_max_str_digits(), a float
+token whose binary value is not the decimal written, and an object that
+repeats a key.
 """
 
 from __future__ import annotations
@@ -49,25 +51,50 @@ def _too_many_digits() -> SerializeError:
     )
 
 
-def _read_json(path: str):
-    def exact_float(token: str) -> float:
-        # the binary value the token is read as must be the decimal written
-        try:
-            if Decimal(float(token)) == Decimal(token):
-                return float(token)
-        except ArithmeticError:  # an exponent past Decimal's range
-            pass
-        raise SerializeError(f'float {_excerpt(token)} is inexact, write it as a "p/q" string')
+def _exact_float(token: str) -> float:
+    """A JSON float, refused unless the binary value it is read as is the
+    decimal written."""
+    try:
+        if Decimal(float(token)) == Decimal(token):
+            return float(token)
+    except ArithmeticError:  # an exponent past Decimal's range
+        pass
+    raise SerializeError(f'float {_excerpt(token)} is inexact, write it as a "p/q" string')
 
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh, parse_float=exact_float)
-        except ValueError as exc:
-            # json raises a bare ValueError only from int() on an integer
-            # literal past the interpreter's limit on decimal conversion
-            if type(exc) is ValueError:
-                raise _too_many_digits() from None
-            raise
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused when it repeats a key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SerializeError(f"repeated key {_excerpt(repr(key))}")
+            seen.add(key)
+    return obj
+
+
+# the one decoder every file goes through
+_DECODER = json.JSONDecoder(parse_float=_exact_float, object_pairs_hook=_unique_keys)
+
+
+def _read_json(path: str):
+    """The JSON value in the file at path, read as UTF-8 with the line ends
+    a text-mode read gives, so that fault positions count as json.load's."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if text.startswith("\ufeff"):  # json.load refuses it, a decoder alone would not
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return _DECODER.decode(text)
+    except ValueError as exc:
+        # json raises a bare ValueError only from int() on an integer
+        # literal past the interpreter's limit on decimal conversion
+        if type(exc) is ValueError:
+            raise _too_many_digits() from None
+        raise
 
 
 def _load(obj, what: str, parse, *args):
@@ -86,9 +113,11 @@ def _load(obj, what: str, parse, *args):
 
 def _to_int(x) -> int:
     """An int from a JSON integer, an integral float or a decimal string."""
+    if type(x) is int:  # a bool is no integer
+        return x
     if isinstance(x, float) and x.is_integer():
-        x = int(x)
-    if type(x) is int or isinstance(x, str):  # a bool is no integer
+        return int(x)
+    if isinstance(x, str):
         try:
             return int(x)
         except ValueError:
@@ -165,7 +194,10 @@ def _int_matrix(obj: dict, config: AdmissibleConfig | None) -> IntersectionMatri
         )
     if "matrix" not in obj:
         raise SerializeError('missing "matrix" field')
-    N = validate_N(parity, [[_to_int(x) for x in r] for r in _rows(obj, "matrix")])
+    rows = _rows(obj, "matrix")
+    if not rows:
+        raise SerializeError('"matrix" is empty')
+    N = validate_N(parity, [[_to_int(x) for x in r] for r in rows])
     if config is not None and N.m != config.m:
         raise SerializeError(f"matrix is {N.m}x{N.m}, the configuration has {config.m} points")
     return N

@@ -17,6 +17,7 @@ from braidmono.serialize import (
     ring_matrix_json,
 )
 from braidmono import parse_braid, pl_cocycle, reduce_reps
+from braidmono.cli import main
 
 
 def test_rational_roundtrip():
@@ -208,3 +209,69 @@ def test_monomial_json():
     assert out["perm"] == [2, 1]
     assert out["entries"] == ["g1'", "1"]
     assert out["dense"] == [["0", "1"], ["g1'", "0"]]
+
+
+N_OK = b'{"n_class": 1, "matrix": [[0, 2], [-2, 0]]}'
+LIMIT = sys.get_int_max_str_digits()
+
+# fault: (bytes of a matrix file, the message after its path)
+INGEST_FAULTS = {
+    "utf-8 BOM": (
+        b"\xef\xbb\xbf" + N_OK,
+        "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    ),
+    "not UTF-8": (
+        N_OK[:-1] + b', "x": "\xe9"}',
+        "'utf-8' codec can't decode byte 0xe9 in position 50: invalid continuation byte",
+    ),
+    "inexact float": (
+        b'{"n_class": 1, "matrix": [[0, 2.1], [-2.1, 0]]}',
+        'float 2.1 is inexact, write it as a "p/q" string',
+    ),
+    "digit limit": (
+        b'{"n_class": 1, "matrix": [[0, ' + b"1" * (LIMIT + 1) + b"], [-1, 0]]}",
+        f"an integer entry exceeds the interpreter's {LIMIT}-digit limit",
+    ),
+    "nesting": (
+        b"[" * 100_000 + b"]" * 100_000,
+        "maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+    ),
+    # positions count a CRLF or CR line end as one character
+    "CRLF line ends": (
+        b'{"n_class": 1,\r\n "matrix": [[0, 2],\r [-2, 0,]]}',
+        "Expecting value: line 3 column 9 (char 43)",
+    ),
+    "repeated key": (
+        b'{"n_class": 1, "matrix": [[0]], "matrix": [[0, 2], [-2, 0]]}',
+        "repeated key 'matrix'",
+    ),
+    "empty matrix": (b'{"n_class": 1, "matrix": []}', '"matrix" is empty'),
+}
+
+
+@pytest.mark.parametrize("fault", INGEST_FAULTS)
+def test_ingest_faults_name_the_file(tmp_path, capsys, fault):
+    """A fault met while reading a file exits 1 with one line naming it."""
+    data, msg = INGEST_FAULTS[fault]
+    if fault == "digit limit" and not LIMIT:
+        pytest.skip("the interpreter has no limit on integer digits")
+    f = tmp_path / "N.json"
+    f.write_bytes(data)
+    for argv in (["act", "--matrix", str(f), ""], ["character", "--matrix", str(f), "--g", ""]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {f}: {msg}\n")
+
+
+def test_repeated_key_names_the_config(tmp_path, capsys):
+    """A config that gives n_class twice is refused, not read as the last
+    one and then blamed on the matrix file."""
+    cfg, mat = tmp_path / "cfg.json", tmp_path / "N.json"
+    cfg.write_text(
+        '{"n_class": 1, "points": [["-2", "4"], ["2", "4"]], "basepoint": ["0", "-1"],'
+        ' "n_class": 2}'
+    )
+    mat.write_bytes(N_OK)
+    assert main(["forward", "--config", str(cfg), "--matrix", str(mat)]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}: repeated key 'n_class'\n")
+    cfg.write_text(cfg.read_text().replace(', "n_class": 2', ""))
+    assert main(["forward", "--config", str(cfg), "--matrix", str(mat)]) == 0
