@@ -10,7 +10,7 @@ import argparse
 import functools
 import sys
 
-from .words import FreeWord, _excerpt, parse_braid, parse_word
+from .words import FreeWord, WordError, _excerpt, parse_braid, parse_word, read_int
 from .cocycles import _REPS, magnus_cocycle, pl_cocycle, reduce_reps
 from .monodromy import (
     ParityClass,
@@ -127,11 +127,9 @@ def _cmd_cover_example(args) -> None:
 
 def _int(text: str) -> int:
     try:
-        return int(text)
-    except ValueError:  # argparse's own message would quote all of text
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {_excerpt(repr(text))}"
-        ) from None
+        return read_int(text)
+    except WordError as exc:  # argparse's own message would quote all of text
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # each argument, declared once for every command that takes it

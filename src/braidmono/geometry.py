@@ -16,13 +16,12 @@ i < k < j.
 
 from __future__ import annotations
 
-import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .monodromy import ParityClass
+from .words import read_rational
 
 
 class GeometryError(ValueError):
@@ -35,21 +34,13 @@ class CollinearError(GeometryError):
         self.triple = triple
 
 
-_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
-
-
 def _exact(x):
-    """x as an int when it is integral, else as a Fraction; ints, integral
-    floats and integer strings build no Fraction.  A decimal string whose
-    exponent passes the interpreter's limit on integer digits is refused:
-    Fraction would compute 10**exponent."""
-    if type(x) is int or isinstance(x, str) or isinstance(x, float) and x.is_integer():
-        try:
-            return int(x)
-        except ValueError:  # a "p/q" or decimal string, or no number
-            e, limit = _EXPONENT.search(x), sys.get_int_max_str_digits()
-            if e and limit and (len(e[1]) > limit or int(e[1]) > limit):
-                raise ValueError(f"exponent past the {limit}-digit limit") from None
+    """x as an int when it is integral, else as a Fraction; ints and integral
+    floats build no Fraction, and a string is read by words.read_rational."""
+    if type(x) is int or isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, str):
+        return read_rational(x)
     x = x if isinstance(x, Fraction) else Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

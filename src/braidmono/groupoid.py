@@ -27,7 +27,7 @@ from .geometry import (
     mu_index,
 )
 from .monodromy import IntersectionMatrix, ParityError, validate_N
-from .words import _excerpt
+from .words import WordError, _excerpt, read_int
 
 
 class GroupoidError(ValueError):
@@ -77,12 +77,12 @@ def parse_groupoid_word(text: str) -> GroupoidWord:
     """Grammar: comma-separated index:exponent pairs, target first."""
     pts, exps = [], []
     for item in text.split(","):
+        z, _, e = item.partition(":")
         try:
-            z, e = item.split(":")
-            pts.append(int(z))
-            exps.append(int(e))
-        except ValueError:
-            raise GroupoidError(f"bad groupoid word item {_excerpt(repr(item))}") from None
+            pts.append(read_int(z))
+            exps.append(read_int(e))
+        except WordError as exc:
+            raise GroupoidError(f"bad groupoid word item {_excerpt(repr(item))}: {exc}") from None
     return GroupoidWord(tuple(pts), tuple(exps))
 
 
@@ -285,8 +285,8 @@ def chi_evaluate(
 
     rng, when given, randomizes the internal extremal-point choices (the
     result must not depend on them); max_steps bounds the recursion.  A
-    twist too large for the interpreter's recursion limit raises
-    GroupoidError naming its point.
+    twist or a word too large for the interpreter's recursion limit raises
+    GroupoidError naming the twist's point or the word's length.
     """
     cfg = data.cfg
     for z in w.points:
@@ -296,12 +296,11 @@ def chi_evaluate(
     try:
         return _Evaluator(data, rng, max_steps).ev(active, w.points, w.exps)
     except RecursionError:
-        # each unit of an interior twist is one level of _split; boundary
-        # twists are stripped without recursion
-        e, z = max(
-            ((abs(e), z) for z, e in zip(w.points[1:-1], w.exps[1:-1])),
-            default=(0, w.target),
-        )
-        raise GroupoidError(
-            f"chi evaluation recursed too deep: point {z} carries a twist of {_excerpt(e)}"
-        ) from None
+        # each unit of an interior twist is one level of _split, and the depth
+        # grows with the word's length too; boundary twists are stripped
+        # without recursion.  A twist is blamed when it is at least the number
+        # of points.
+        k = len(w.points)
+        e, z = max(((abs(e), z) for z, e in zip(w.points[1:-1], w.exps[1:-1])), default=(0, 0))
+        why = f"the word has {k} points" if e < k else f"point {z} carries a twist of {_excerpt(e)}"
+        raise GroupoidError(f"chi evaluation recursed too deep: {why}") from None

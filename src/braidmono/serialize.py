@@ -2,24 +2,24 @@
 strings, integer matrices tagged with their parity class, configurations
 with optional basepoint, and string rendering of ring-valued matrices.
 
-A coordinate reads as an int when it is integral and as a Fraction only
-when it is not (geometry._exact).  JSON booleans are refused, as is a
-decimal string whose exponent passes sys.get_int_max_str_digits(), a float
-token whose binary value is not the decimal written, and an object that
-repeats a key.
+Every number written as a string, and every JSON integer past the digit
+limit, is read by words.read_int or words.read_rational: one grammar and
+one digit-limit refusal for files and argv alike.  A coordinate reads as an
+int when it is integral and as a Fraction only when it is not.  JSON
+booleans are refused, as is a float token whose binary value is not the
+decimal written, and an object that repeats a key.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from decimal import Decimal
 
 from .geometry import AdmissibleConfig, GeometryError, RationalPoint, _exact, validate_admissible
 from .matrices import MonomialGammaMatrix, RingMatrix
 from .monodromy import IntersectionMatrix, ParityClass, validate_N
 from .reconstruct import FanConfiguration, build_fan_config
-from .words import _excerpt
+from .words import _excerpt, read_int, read_rational
 
 
 class SerializeError(ValueError):
@@ -28,27 +28,17 @@ class SerializeError(ValueError):
 
 def parse_rational(s):
     """An int or, when not integral, a Fraction from an int, an integral
-    float or a "p/q" or decimal string (geometry._exact).  Booleans and
+    float or a "p/q" or decimal string (words.read_rational).  Booleans and
     other floats are refused."""
     if isinstance(s, float) and not s.is_integer():
         raise SerializeError(f'float {s!r} is not an integer, write it as a "p/q" string')
     reason = "a boolean is not a number"
     if not isinstance(s, bool):
         try:
-            return _exact(s)
-        except ZeroDivisionError:
-            reason = "zero denominator"
+            return read_rational(s) if isinstance(s, str) else _exact(s)
         except (ValueError, TypeError) as exc:
-            # Fraction's own message may echo the whole token
-            reason = "not a rational number" if repr(s) in str(exc) else str(exc)
+            reason = str(exc)
     raise SerializeError(f"bad rational {_excerpt(repr(s))}: {reason}")
-
-
-def _too_many_digits() -> SerializeError:
-    return SerializeError(
-        "an integer entry exceeds the interpreter's "
-        f"{sys.get_int_max_str_digits()}-digit limit"
-    )
 
 
 def _exact_float(token: str) -> float:
@@ -90,10 +80,10 @@ def _read_json(path: str):
     try:
         return _DECODER.decode(text)
     except ValueError as exc:
-        # json raises a bare ValueError only from int() on an integer
-        # literal past the interpreter's limit on decimal conversion
+        # json raises a bare ValueError only from int() on an integer literal
+        # past the digit limit; decoding again up to it, read_int names it
         if type(exc) is ValueError:
-            raise _too_many_digits() from None
+            json.JSONDecoder(parse_int=read_int).decode(text)
         raise
 
 
@@ -115,15 +105,10 @@ def _to_int(x) -> int:
     """An int from a JSON integer, an integral float or a decimal string."""
     if type(x) is int:  # a bool is no integer
         return x
+    if isinstance(x, str):
+        return read_int(x)
     if isinstance(x, float) and x.is_integer():
         return int(x)
-    if isinstance(x, str):
-        try:
-            return int(x)
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            if limit and len(x.strip().lstrip("+-")) > limit:
-                raise _too_many_digits() from None
     raise SerializeError(f"{_excerpt(repr(x))} is not an integer")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 class WordError(ValueError):
@@ -21,6 +22,54 @@ def _excerpt(r) -> str:
     """str(r), cut to a short prefix and its length when it is long."""
     r = str(r)
     return r if len(r) <= 32 else f"{r[:24]}... ({len(r)} chars)"
+
+
+# --- numbers from outside: every one from argv or a file is read here ------
+
+_NUMBER = re.compile(
+    r"\s*[-+]?(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE][-+]?([0-9]+))?)\s*\Z"
+)
+
+
+def _digit_limit(text: str, mo: re.Match) -> None:
+    """Refuse text, matched by _NUMBER as mo, past the interpreter's limit on
+    decimal conversion: by a run of digits, or by an exponent that stands
+    for more zeros (Fraction would compute 10**exponent)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (max(map(len, mo.groups(""))) > limit or int(mo[4] or 0) > limit):
+        raise WordError(f"{_excerpt(repr(text))} has more than {limit} decimal digits")
+
+
+def read_int(text: str) -> int:
+    """The integer written in text as int() reads it, less "_" separators
+    and non-ASCII digits: ASCII whitespace around, a sign, ASCII digits."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:  # an integer past the digit limit, or no integer
+            mo = _NUMBER.match(text)
+            if mo and mo.lastindex == 1:  # digits alone: no p/q, point or exponent
+                _digit_limit(text, mo)
+    raise WordError(f"{_excerpt(repr(text))} is not an integer")
+
+
+def read_rational(text: str):
+    """The rational written in text, as read_int reads an integer or as p/q
+    or a decimal with an exponent: an int when it is integral, else a
+    Fraction."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:  # p/q, a decimal, past the digit limit, or no number
+            mo = _NUMBER.match(text)
+        if mo:
+            _digit_limit(text, mo)
+            try:
+                x = Fraction(text)
+            except ZeroDivisionError:
+                raise WordError("zero denominator") from None
+            return x.numerator if x.denominator == 1 else x
+    raise WordError("not a rational number")
 
 
 def _check_strands(m: int) -> None:
@@ -124,7 +173,7 @@ class FreeWord:
 # Braid words: tokens s<k> (k >= 2) and e<i>, same suffixes; the leftmost
 # token acts last.
 
-_TOKEN = re.compile(r"^([a-z]+)(\d+)(?:(')|\^(-?\d+))?$")
+_TOKEN = re.compile(r"^([a-z]+)([0-9]+)(?:(')|\^(-?[0-9]+))?$")
 
 
 def _parse_tokens(text: str):
@@ -136,12 +185,9 @@ def _parse_tokens(text: str):
             raise WordError(f"bad token {_excerpt(repr(tok))}")
         kind, idx, prime, pow_ = mo.groups()
         try:
-            i, e = int(idx), -1 if prime else int(pow_) if pow_ is not None else 1
-        except ValueError:  # _TOKEN matched, so only the digit limit can fail
-            raise WordError(
-                f"bad token {_excerpt(repr(tok))}: a number in it has more than "
-                f"{sys.get_int_max_str_digits()} decimal digits"
-            ) from None
+            i, e = read_int(idx), -1 if prime else read_int(pow_) if pow_ is not None else 1
+        except WordError as exc:  # _TOKEN matched, so only the digit limit can fail
+            raise WordError(f"bad token {_excerpt(repr(tok))}: {exc}") from None
         yield kind, i, e
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -205,7 +206,8 @@ def test_matrix_entry_past_digit_limit(capsys, tmp_path):
         code, out, err = run(capsys, "act", "--matrix", str(big), "s2")
         assert code == 1 and out == ""
         assert err == (
-            f"error: {big}: an integer entry exceeds the interpreter's 4300-digit limit\n"
+            f"error: {big}: '11111111111111111111111... (4403 chars) has more than 4300 "
+            "decimal digits\n"
         )
 
 
@@ -426,8 +428,8 @@ BIG = "1" * 4000  # under the 4300-digit limit, so it parses as a number
     ("chi --config {cfg} --q {N} --word 1:0,2:{big},3:0", "chi evaluation recursed too deep"),
     ("pl-cocycle --m {big} s2", "strand count 111"),
     ("magnus --m -{big} s2", "strand count -111"),
-    ("rep burau --m x{big} s2", "braidmono rep: argument --m: invalid int value: 'x111"),
-    ("pl-cocycle --m {big}{big} s2", "braidmono pl-cocycle: argument --m: invalid int"),
+    ("rep burau --m x{big} s2", "braidmono rep: argument --m: 'x111"),
+    ("pl-cocycle --m {big}{big} s2", "braidmono pl-cocycle: argument --m: '111"),
     ("act --matrix {diag} s2", "{diag}: diagonal entry (1,1) = 111"),
     ("act --matrix {N5} s2", "{N5}: n mod 4 must be 0..3, got 5\n"),
     ("character --matrix {Nbig} --g g1", "{Nbig}: n mod 4 must be 0..3, got 111"),
@@ -575,3 +577,57 @@ def test_zero_power_token_names_a_letter(capsys, files, argv, msg):
     code, out, err = run(capsys, *(a.format(N=N) for a in argv))
     assert one_line_error(code, out, err), err
     assert err == f"error: {msg}\n"
+
+
+# --- one number grammar ------------------------------------------------------
+
+FAN7 = [["-3", "9"], ["-2", "4"], ["-1", "1"], ["0", "0"], ["1", "1"], ["2", "4"], ["7", "49"]]
+FORWARD = ["forward", "--config", "cfg.json", "--matrix", "N.json"]
+CHI = ["chi", "--config", "cfg.json", "--q", "N.json", "--word"]
+
+# site: x -> (argv, config fields, matrix fields), with x in the place of one number
+NUMBER_SITES = {
+    "--m": lambda x: (["pl-cocycle", "--m", f"{x}", "s2"], {}, {}),
+    "braid index": lambda x: (["pl-cocycle", "--m", "7", f"s{x}"], {}, {}),
+    "braid power": lambda x: (["pl-cocycle", "--m", "3", f"s2^{x}"], {}, {}),
+    "free-word index": lambda x: (["character", "--matrix", "N.json", "--g", f"g{x}"], {}, {}),
+    "free-word power": lambda x: (["character", "--matrix", "N.json", "--g", f"g1^{x}"], {}, {}),
+    "groupoid point": lambda x: ([*CHI, f"1:0,{x}:0"], {}, {}),
+    "groupoid twist": lambda x: ([*CHI, f"1:0,2:{x},3:0"], {}, {}),
+    "n_class": lambda x: (["act", "--matrix", "N.json", "s2"], {}, {"n_class": x}),
+    "matrix entry": lambda x: (["act", "--matrix", "N.json", "s2"], {}, {"matrix": [[0, x], [-7, 0]]}),
+    "coordinate": lambda x: (FORWARD, {"points": FAN7[:6] + [[x, "49"]]}, {}),
+    "basepoint": lambda x: (FORWARD, {"basepoint": [x, "-2"]}, {}),
+    "tangent": lambda x: (
+        [*CHI, "1:0,2:0"], {"basepoint": None, "tangents": [[x, "-1"]] + [["0", "-1"]] * 6}, {}
+    ),
+}
+TOKEN_SITES = ("braid index", "braid power", "free-word index", "free-word power")
+REFUSED = r"bad token|is not an integer|not a rational number|has more than 4300 decimal digits"
+
+
+def run_number_site(capsys, tmp_path, site, x):
+    """The call of a site, run in tmp_path, so that messages name short paths."""
+    argv, cfg, mat = NUMBER_SITES[site](x)
+    cfg = {"n_class": 1, "points": FAN7, "basepoint": ["0", "-1"], **cfg}
+    write(tmp_path, "cfg.json", {k: v for k, v in cfg.items() if v is not None})
+    write(tmp_path, "N.json", {"n_class": 1, "matrix": [[0] * 7] * 7, **mat})
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("x", ["7", "+7", " 7 ", "1_0", "٣", "７", "0x10", "1" * 5000],
+                         ids=["7", "+7", "spaced", "1_0", "arabic", "fullwidth", "0x10", "long"])
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_one_number_grammar(capsys, tmp_path, monkeypatch, site, x):
+    """Every number from argv or a file is read by one grammar, what int()
+    reads less "_" separators and non-ASCII digits, and refused past the
+    digit limit with one short line."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_number_site(capsys, tmp_path, site, x)
+    if x == "7" or x in ("+7", " 7 ") and site not in TOKEN_SITES:
+        # read as the number 7: the JSON integer 7 in a file gives the same
+        assert (code, out, err) == run_number_site(capsys, tmp_path, site, 7)
+        assert not re.search(REFUSED, err), err
+    else:
+        assert one_line_error(code, out, err), err
+        assert re.search(REFUSED, err) and len(err.encode()) < 200, err

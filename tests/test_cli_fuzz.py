@@ -25,7 +25,8 @@ scalars = st.one_of(
     st.integers(-6, 6),
     st.integers(),
     st.floats(),
-    st.sampled_from(["", "1/2", "-3", "0/0", "x", "1/0", "7/3", "1e50000000", "1e-50000000"]),
+    st.sampled_from(["", "1/2", "-3", "0/0", "x", "1/0", "7/3", "1e50000000", "1e-50000000",
+                     "1_0", "٣", "1" * 5000]),
     st.text(max_size=4),
 )
 json_values = st.recursive(

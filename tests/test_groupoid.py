@@ -6,6 +6,7 @@ from braidmono import (
     GroupoidError,
     GroupoidWord,
     ParityClass,
+    build_fan_config,
     chi_evaluate,
     forward_Q,
     is_local_triangle,
@@ -236,6 +237,22 @@ def test_step_budget_guard(rng):
     w = rand_word(rng, fan.cfg.m, 5, bound=3)
     with pytest.raises(GroupoidError):
         chi_evaluate(Q, w, max_steps=3)
+
+
+@pytest.mark.parametrize("word, why", [
+    (",".join(["1:0,2:0,3:0"] * 400), "the word has 1200 points"),
+    ("1:0,2:" + "1" * 4000 + ",3:0",
+     "point 2 carries a twist of 111111111111111111111111... (4000 chars)"),
+])
+def test_chi_too_deep_names_its_cause(rng, word, why):
+    """A recursion too deep is blamed on a twist only when the twist
+    outnumbers the word's points; a long twist-free walk is blamed on its
+    length."""
+    fan = build_fan_config([(-2, 4), (0, 5), (2, 4)], (0, -1), ParityClass(1))
+    Q = rand_Q(rng, fan)
+    with pytest.raises(GroupoidError) as exc:
+        chi_evaluate(Q, parse_groupoid_word(word))
+    assert str(exc.value) == f"chi evaluation recursed too deep: {why}"
 
 
 def test_chi_rejects_out_of_range_point(rng):

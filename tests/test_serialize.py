@@ -100,34 +100,36 @@ def test_booleans_are_refused(tmp_path):
 
 
 def test_huge_exponents_are_refused(tmp_path):
-    """Fraction would compute 10**exponent, so an exponent past the limit on
-    integer digits is refused at once; one within it is read exactly."""
+    """Fraction would compute 10**exponent, so an exponent standing for more
+    zeros than the limit on integer digits is refused at once, with the
+    digit-limit reason; one within it is read exactly."""
     limit = sys.get_int_max_str_digits()
     for token in ("1e50000000", "1e-50000000", f"2E+{limit + 1}", f"1e{limit}1"):
         with pytest.raises(SerializeError) as exc:
             parse_rational(token)
         assert str(exc.value) == (
             f"bad rational {_excerpt(repr(token))}: "
-            f"exponent past the {limit}-digit limit"
+            f"{_excerpt(repr(token))} has more than {limit} decimal digits"
         )
     assert parse_rational(f"1e{limit}") == 10**limit
     assert parse_rational(f"3e-{limit}") == Fraction(3, 10**limit)
-    assert parse_rational(" 2.5E1_0 ") == 25 * 10**9
+    assert parse_rational(" 2.5E10 ") == 25 * 10**9
     f = tmp_path / "cfg.json"
     f.write_text(json.dumps({"n_class": 1, "points": [["1e50000000", "4"]], "basepoint": ["0", "-1"]}))
-    with pytest.raises(SerializeError, match=f"^{f}: bad rational '1e50000000': exponent past"):
+    with pytest.raises(SerializeError, match=f"^{f}: bad rational '1e50000000': '1e50000000' has"):
         load_config(str(f))
 
 
 def test_exact_number_rule():
     """An integral token reads as an int; only a non-integral rational is a
     Fraction."""
-    for token, want in [(3, 3), (-4.0, -4), ("7", 7), (" +1_000 ", 1000), ("٣", 3),
-                        ("8/2", 4), ("2.0", 2), ("1e3", 1000), ("-6/4", Fraction(-3, 2)),
+    for token, want in [(3, 3), (-4.0, -4), ("7", 7), (" +1000 ", 1000), ("8/2", 4),
+                        ("2.0", 2), ("1e3", 1000), ("-6/4", Fraction(-3, 2)),
                         ("0.25", Fraction(1, 4))]:
         got = parse_rational(token)
         assert got == want and type(got) is type(want), token
-    for bad in ("1__0", "_1", "1_", "0x10", "", "inf", "nan"):
+    # "_" separators and non-ASCII digits are no part of the number grammar
+    for bad in ("1__0", "_1", "1_", "1_000", "1/2_0", "1e1_0", "٣", "７", "0x10", "", "inf", "nan"):
         with pytest.raises(SerializeError):
             parse_rational(bad)
 
@@ -230,7 +232,7 @@ INGEST_FAULTS = {
     ),
     "digit limit": (
         b'{"n_class": 1, "matrix": [[0, ' + b"1" * (LIMIT + 1) + b"], [-1, 0]]}",
-        f"an integer entry exceeds the interpreter's {LIMIT}-digit limit",
+        f"{_excerpt(repr('1' * (LIMIT + 1)))} has more than {LIMIT} decimal digits",
     ),
     "nesting": (
         b"[" * 100_000 + b"]" * 100_000,
