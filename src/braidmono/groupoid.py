@@ -10,7 +10,10 @@ unique character with chi^Q(s(z, z')) = Q(z, z') subject to the reflection
 laws; the evaluator mirrors the inductive uniqueness argument: strip
 boundary twists, cancel backtracks, shift interior twists at an extremal
 point to their mu-index targets, rewrite its visits through angular chains,
-and recurse on the configuration with that point removed.
+and go on with the configuration with that point removed.  A twist moves to
+its target in one step, in closed form, and the sub-words each step needs are
+evaluated on an explicit stack, so no input reaches the interpreter's
+recursion limit; the step budget bounds the cost instead.
 """
 
 from __future__ import annotations
@@ -155,6 +158,11 @@ def rel2_rewrite(cfg: AdmissibleConfig, w: GroupoidWord, seg: int, mid: int) -> 
 # --- the evaluator ---------------------------------------------------------
 
 class _Evaluator:
+    """chi^Q on an explicit stack.  ev, _core and _split are generators: each
+    yields a sub-word (active, pts, exps) it needs and is sent its value, and
+    run drives the suspended frames from a list, so neither a twist nor a
+    word's length deepens the interpreter stack."""
+
     def __init__(self, data: StraightLineData, rng: random.Random | None, max_steps: int):
         self.cfg = data.cfg
         self.q = data.q
@@ -166,66 +174,86 @@ class _Evaluator:
         self.steps = max_steps
         self.memo: dict = {}
 
-    def _tick(self):
-        self.steps -= 1
+    def _charge(self, points: int):
+        self.steps -= points
         if self.steps <= 0:
             raise GroupoidError("chi evaluation step budget exhausted")
 
-    def _normalize(self, pts, exps):
-        """Strip boundary twists (collecting the sign) and cancel
-        zero-exponent backtracks, to a fixed point."""
-        s = 1
-        pts, exps = list(pts), list(exps)
-        while True:
-            if exps[0] != 0:
-                s *= self.bsign ** (exps[0] & 1)
-                exps[0] = 0
-            if exps[-1] != 0:
-                s *= self.bsign ** (exps[-1] & 1)
-                exps[-1] = 0
-            for i in range(1, len(pts) - 1):
-                if exps[i] == 0 and pts[i - 1] == pts[i + 1]:
-                    exps[i - 1 : i + 2] = [exps[i - 1] + exps[i + 1]]
-                    del pts[i : i + 2]
-                    break
+    def run(self, active: tuple, pts, exps) -> int:
+        """Drive ev on a list of suspended frames; the value of the word."""
+        stack = [self.ev(active, pts, exps)]
+        value = None
+        while stack:
+            try:
+                sub = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
             else:
-                return s, tuple(pts), tuple(exps)
+                stack.append(self.ev(*sub))
+                value = None
+        return value
+
+    def _normalize(self, pts, exps):
+        """Cancel each backtrack a, b, a with twist 0 at b in one pass over a
+        stack, as in free reduction, then strip the boundary twists,
+        collecting their sign b^(e&1).  One pass keeps the cost linear in
+        the points, so the step budget bounds the time a word takes."""
+        out_pts, out_exps = [pts[0]], [exps[0]]
+        for z, e in zip(pts[1:], exps[1:]):
+            if len(out_pts) > 1 and out_exps[-1] == 0 and out_pts[-2] == z:
+                out_pts.pop()
+                out_exps.pop()
+                out_exps[-1] += e
+            else:
+                out_pts.append(z)
+                out_exps.append(e)
+        end = out_exps[0] if len(out_pts) == 1 else out_exps[0] + out_exps[-1]
+        out_exps[0] = out_exps[-1] = 0
+        return self.bsign ** (end & 1), tuple(out_pts), tuple(out_exps)
 
     def _mu_target(self, a: int, e: int, b: int) -> int:
         return 0 if a == b else mu_index(self.cfg, a, e, b)
 
-    def ev(self, active: tuple, pts, exps) -> int:
-        self._tick()
+    def ev(self, active: tuple, pts, exps):
+        """The value of a word, charged its point count after normalising."""
         s, pts, exps = self._normalize(pts, exps)
+        self._charge(len(pts))
         if len(pts) == 1:
             return s * self.diag
         if len(pts) == 2:
             return s * self.q[pts[0] - 1][pts[1] - 1]
         key = (active, pts, exps)
-        if key not in self.memo:
-            self.memo[key] = self._core(active, pts, exps)
-        return s * self.memo[key]
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = yield from self._core(active, pts, exps)
+        return s * value
 
     def _split(self, active, pts, exps, i, target):
-        """One reflection step moving exps[i] one unit toward target."""
+        """Move exps[i] to target at once.  For a twist x at i, one unit step
+        of the reflection law reads chi(x + step) = chi(x) - f b^(x&1) chi(A0)
+        chi(B): A0 = pts[:i+1] with end twist 0 (the twist x there strips to
+        the sign b^(x&1)) and B = pts[i:] do not depend on x.  Summed over x
+        in [lo, hi], chi(m) = chi(target) - f S chi(A0) chi(B), where S, the
+        sum of b^(x&1), is the range's length for b = 1 and #even - #odd
+        for b = -1."""
         m = exps[i]
         step = 1 if m > target else -1
-        factor = self.factor[step]
-        main = exps[:i] + (m - step,) + exps[i + 1:]
-        a_pts, a_exps = pts[: i + 1], exps[:i] + (m - step,)
-        b_pts, b_exps = pts[i:], (0,) + exps[i + 1:]
-        return (
-            self.ev(active, pts, main)
-            - factor * self.ev(active, a_pts, a_exps) * self.ev(active, b_pts, b_exps)
-        )
+        lo, hi = (target, m - 1) if step == 1 else (m + 1, target)
+        n = hi - lo + 1
+        weight = n if self.bsign == 1 else (n & 1) * (1 - 2 * (lo & 1))
+        value = yield active, pts, exps[:i] + (target,) + exps[i + 1:]
+        a = yield active, pts[: i + 1], exps[:i] + (0,)
+        b = yield active, pts[i:], (0,) + exps[i + 1:]
+        return value - self.factor[step] * weight * a * b
 
-    def _core(self, active, pts, exps) -> int:
+    def _core(self, active, pts, exps):
         if len(active) < 3:
             # two-point configuration: push every interior twist to zero;
             # backtrack cancellation then finishes the job
             for i in range(1, len(pts) - 1):
                 if exps[i] != 0:
-                    return self._split(active, pts, exps, i, 0)
+                    return (yield from self._split(active, pts, exps, i, 0))
             raise AssertionError("normalized two-point word with no twists")
 
         ext = extremal_points(self.cfg, active)
@@ -236,14 +264,14 @@ class _Evaluator:
 
         sub = tuple(k for k in active if k != e)
         if e not in pts:
-            return self.ev(sub, pts, exps)
+            return (yield sub, pts, exps)
 
         # shift every interior twist at e to its mu target
         for i in range(1, len(pts) - 1):
             if pts[i] == e and exps[i] != self._mu_target(pts[i - 1], e, pts[i + 1]):
-                return self._split(
+                return (yield from self._split(
                     active, pts, exps, i, self._mu_target(pts[i - 1], e, pts[i + 1])
-                )
+                ))
 
         # every visit of e now carries exactly its mu-index; unfold each
         # through the angular chain around e and drop e from the config
@@ -272,7 +300,7 @@ class _Evaluator:
                 new_pts.append(pts[i])
                 new_exps.append(exps[i])
                 i += 1
-        return self.ev(sub, tuple(new_pts), tuple(new_exps))
+        return (yield sub, tuple(new_pts), tuple(new_exps))
 
 
 def chi_evaluate(
@@ -284,23 +312,14 @@ def chi_evaluate(
     """Evaluate chi^Q on a groupoid word.
 
     rng, when given, randomizes the internal extremal-point choices (the
-    result must not depend on them); max_steps bounds the recursion.  A
-    twist or a word too large for the interpreter's recursion limit raises
-    GroupoidError naming the twist's point or the word's length.
+    result must not depend on them).  max_steps bounds the cost: every word
+    the evaluator meets is charged its number of points after normalising,
+    which bounds both time and the memo's size; past it GroupoidError says
+    the step budget is exhausted.  A twist of any size costs the same.
     """
     cfg = data.cfg
     for z in w.points:
         if not 1 <= z <= cfg.m:
             raise GroupoidError(f"point index {_excerpt(z)} out of range 1..{cfg.m}")
     active = tuple(range(1, cfg.m + 1))
-    try:
-        return _Evaluator(data, rng, max_steps).ev(active, w.points, w.exps)
-    except RecursionError:
-        # each unit of an interior twist is one level of _split, and the depth
-        # grows with the word's length too; boundary twists are stripped
-        # without recursion.  A twist is blamed when it is at least the number
-        # of points.
-        k = len(w.points)
-        e, z = max(((abs(e), z) for z, e in zip(w.points[1:-1], w.exps[1:-1])), default=(0, 0))
-        why = f"the word has {k} points" if e < k else f"point {z} carries a twist of {_excerpt(e)}"
-        raise GroupoidError(f"chi evaluation recursed too deep: {why}") from None
+    return _Evaluator(data, rng, max_steps).run(active, w.points, w.exps)

@@ -7,6 +7,14 @@ import time
 
 import pytest
 
+from braidmono import (
+    ParityClass,
+    anchor_word,
+    build_fan_config,
+    character,
+    parse_groupoid_word,
+    validate_N,
+)
 from braidmono.cli import main
 
 
@@ -391,13 +399,54 @@ def test_long_bad_token_is_cut(capsys, tmp_path):
     assert len(err) < 300 and "(4403 chars)" in err
 
 
-def test_chi_deep_twist_is_one_line(capsys, tmp_path, files):
+BIG = "1" * 4000  # under the 4300-digit limit, so it parses as a number
+
+
+def chi_setup(capsys, tmp_path, files):
+    """The fixture's config, Q = forward(N) as a file, and a function giving
+    the dense character of N at (target, source) of a groupoid word."""
     cfg, N = files
     code, out, _ = run(capsys, "forward", "--config", cfg, "--matrix", N)
     q = write(tmp_path, "Q.json", json.loads(out))
-    code, out, err = run(capsys, "chi", "--config", cfg, "--q", q, "--word", "1:0,2:500,3:0")
+    fan = build_fan_config([(-2, 4), (0, 5), (2, 4)], (0, -1), ParityClass(1))
+    n = validate_N(ParityClass(1), json.loads(open(N).read())["matrix"])
+
+    def dense(word):
+        w = parse_groupoid_word(word)
+        return character(n, anchor_word(fan, w).word)[w.target - 1][w.source - 1]
+
+    return cfg, q, dense
+
+
+def assert_chi_answers(capsys, tmp_path, files, word):
+    """chi answers the word with one stdout line, the dense character's entry."""
+    cfg, q, dense = chi_setup(capsys, tmp_path, files)
+    code, out, err = run(capsys, "chi", "--config", cfg, "--q", q, "--word", word)
+    assert (code, err, out.count("\n")) == (0, "", 1)
+    assert int(out) == dense(word)
+
+
+def test_chi_deep_twist_is_one_line(capsys, tmp_path, files):
+    """A twist of 500 is answered with one stdout line."""
+    assert_chi_answers(capsys, tmp_path, files, "1:0,2:500,3:0")
+
+
+def test_chi_4000_digit_twist_is_answered(capsys, tmp_path, files):
+    """A twist of 4000 digits is answered in one closed-form step, not
+    refused as too deep."""
+    assert_chi_answers(capsys, tmp_path, files, f"1:0,2:{BIG},3:0")
+
+
+def test_chi_long_walk_is_refused_by_the_step_budget(capsys, tmp_path, files):
+    """A 1500-point walk costs more than the step budget: exit 1 with one
+    line, in under 2 s."""
+    cfg, q, _ = chi_setup(capsys, tmp_path, files)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "chi", "--config", cfg, "--q", q,
+                         "--word", ",".join(["1:0,2:0,3:0"] * 500))
+    assert time.perf_counter() - t0 < 2
     assert one_line_error(code, out, err), err
-    assert "point 2" in err
+    assert err == "error: chi evaluation step budget exhausted\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -413,9 +462,6 @@ def test_long_number_token_is_cut(capsys, files, argv):
     assert err.startswith("error: bad ") and len(err) < 150 and " chars)" in err
 
 
-BIG = "1" * 4000  # under the 4300-digit limit, so it parses as a number
-
-
 @pytest.mark.parametrize("argv, msg", [
     ("character --matrix {N} --g g{big}", "generator index 111"),
     ("character --matrix {N} --g s{big}", "expected g<i> token, got s111"),
@@ -425,7 +471,6 @@ BIG = "1" * 4000  # under the 4300-digit limit, so it parses as a number
     ("act --matrix {N} e{big}", "epsilon index 111"),
     ("chi --config {cfg} --q {N} --word {big}:0,{big}:0", "repeated adjacent point 111"),
     ("chi --config {cfg} --q {N} --word 1:0,{big}:0", "point index 111"),
-    ("chi --config {cfg} --q {N} --word 1:0,2:{big},3:0", "chi evaluation recursed too deep"),
     ("pl-cocycle --m {big} s2", "strand count 111"),
     ("magnus --m -{big} s2", "strand count -111"),
     ("rep burau --m x{big} s2", "braidmono rep: argument --m: 'x111"),

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,7 +7,9 @@ from braidmono import (
     GroupoidError,
     GroupoidWord,
     ParityClass,
+    anchor_word,
     build_fan_config,
+    character,
     chi_evaluate,
     forward_Q,
     is_local_triangle,
@@ -239,20 +242,47 @@ def test_step_budget_guard(rng):
         chi_evaluate(Q, w, max_steps=3)
 
 
-@pytest.mark.parametrize("word, why", [
-    (",".join(["1:0,2:0,3:0"] * 400), "the word has 1200 points"),
-    ("1:0,2:" + "1" * 4000 + ",3:0",
-     "point 2 carries a twist of 111111111111111111111111... (4000 chars)"),
-])
-def test_chi_too_deep_names_its_cause(rng, word, why):
-    """A recursion too deep is blamed on a twist only when the twist
-    outnumbers the word's points; a long twist-free walk is blamed on its
-    length."""
+def walk(rounds):
+    """A twist-free walk around the 3-point fan, 3 * rounds points."""
+    return parse_groupoid_word(",".join(["1:0,2:0,3:0"] * rounds))
+
+
+@pytest.mark.parametrize("w", [
+    walk(400),
+    parse_groupoid_word("1:0,2:" + "1" * 4000 + ",3:0"),
+], ids=["walk-1200-points", "twist-4000-digits"])
+def test_chi_long_walks_and_huge_twists_match_character(rng, w):
+    """Neither a word's length nor a twist's size deepens the evaluator's
+    stack: a 1200-point walk and a 4000-digit twist are answered, and equal
+    the dense character of N on the word's anchor."""
+    fan = build_fan_config([(-2, 4), (0, 5), (2, 4)], (0, -1), ParityClass(1))
+    N = rand_N(rng, fan.cfg.parity, fan.cfg.m, bound=4)
+    want = character(N, anchor_word(fan, w).word)[w.target - 1][w.source - 1]
+    assert chi_evaluate(forward_Q(fan, N), w) == want
+
+
+def test_chi_long_walk_exhausts_the_step_budget(rng):
+    """Each word met is charged its points, so the cost of a walk grows with
+    its length squared: 1500 points cost more than the default budget of
+    10^6, and the refusal comes in well under 2 s."""
     fan = build_fan_config([(-2, 4), (0, 5), (2, 4)], (0, -1), ParityClass(1))
     Q = rand_Q(rng, fan)
-    with pytest.raises(GroupoidError) as exc:
-        chi_evaluate(Q, parse_groupoid_word(word))
-    assert str(exc.value) == f"chi evaluation recursed too deep: {why}"
+    t0 = time.perf_counter()
+    with pytest.raises(GroupoidError, match="^chi evaluation step budget exhausted$"):
+        chi_evaluate(Q, walk(500))
+    assert time.perf_counter() - t0 < 2
+
+
+def test_chi_long_palindrome_normalises_fast(rng):
+    """A 24000-point palindrome with no twist cancels from the middle out to
+    its first point; the normalisation takes one pass, not one per
+    cancellation."""
+    fan = build_fan_config([(-2, 4), (0, 5), (2, 4)], (0, -1), ParityClass(0))
+    half = [1, 2, 3] * 4000
+    w = GroupoidWord(tuple(half + half[-2::-1]), (0,) * (2 * len(half) - 1))
+    t0 = time.perf_counter()
+    assert chi_evaluate(rand_Q(rng, fan), w) == ParityClass(0).diag
+    assert time.perf_counter() - t0 < 1
 
 
 def test_chi_rejects_out_of_range_point(rng):

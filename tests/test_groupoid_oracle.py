@@ -1,10 +1,14 @@
-"""chi_evaluate against the evaluator as first written.
+"""chi_evaluate against the evaluator as first written, and against the
+dense character.
 
-The evaluator takes relation 2's twists from one helper and the reflection
-coefficient from ParityClass.rho_coeff.  The reference below states both by
-hand: it unfolds each visit of an extremal point e through its angular chain
-with inline mu-indices, and splits a twist with eps or sgn*eps.  The two
-must agree at exact equality, in their step counts and their errors too.
+RefEvaluator is the recursive unit-step evaluator: it moves an interior
+twist to its target one unit per reflection, one level of recursion each,
+states the reflection coefficient by hand (eps, or sgn*eps), and unfolds
+each visit of an extremal point e through its angular chain with inline
+mu-indices.  chi_evaluate takes a whole twist in one closed-form step on an
+explicit stack; the two must agree at exact equality.  On fans the dense
+character of N along the anchor word is a second oracle, independent of the
+recurrence, and it takes twists of any size.
 """
 
 import random
@@ -16,8 +20,11 @@ from braidmono import (
     GroupoidError,
     GroupoidWord,
     ParityClass,
+    anchor_word,
+    character,
     chi_evaluate,
     extremal_points,
+    forward_Q,
     is_local_triangle,
     mu_index,
     rel2_rewrite,
@@ -29,12 +36,58 @@ from braidmono.groupoid import _Evaluator
 from conftest import rand_N, rand_fan, rand_groupoid_points
 
 
-class RefEvaluator(_Evaluator):
+class RefEvaluator:
     def __init__(self, data, rng, max_steps):
-        super().__init__(data, rng, max_steps)
-        self.sgn, self.eps = data.cfg.parity.sgn, data.cfg.parity.eps
+        self.cfg = data.cfg
+        self.q = data.q
+        p = data.cfg.parity
+        self.diag = p.diag
+        self.sgn, self.eps = p.sgn, p.eps
+        self.bsign = -p.sgn  # (-1)^{n+1}
+        self.rng = rng
+        self.steps = max_steps
+        self.memo = {}
+
+    def _tick(self):
+        self.steps -= 1
+        if self.steps <= 0:
+            raise GroupoidError("chi evaluation step budget exhausted")
+
+    def _normalize(self, pts, exps):
+        s = 1
+        pts, exps = list(pts), list(exps)
+        while True:
+            if exps[0] != 0:
+                s *= self.bsign ** (exps[0] & 1)
+                exps[0] = 0
+            if exps[-1] != 0:
+                s *= self.bsign ** (exps[-1] & 1)
+                exps[-1] = 0
+            for i in range(1, len(pts) - 1):
+                if exps[i] == 0 and pts[i - 1] == pts[i + 1]:
+                    exps[i - 1 : i + 2] = [exps[i - 1] + exps[i + 1]]
+                    del pts[i : i + 2]
+                    break
+            else:
+                return s, tuple(pts), tuple(exps)
+
+    def _mu_target(self, a, e, b):
+        return 0 if a == b else mu_index(self.cfg, a, e, b)
+
+    def ev(self, active, pts, exps):
+        self._tick()
+        s, pts, exps = self._normalize(pts, exps)
+        if len(pts) == 1:
+            return s * self.diag
+        if len(pts) == 2:
+            return s * self.q[pts[0] - 1][pts[1] - 1]
+        key = (active, pts, exps)
+        if key not in self.memo:
+            self.memo[key] = self._core(active, pts, exps)
+        return s * self.memo[key]
 
     def _split(self, active, pts, exps, i, target):
+        """One reflection step moving exps[i] one unit toward target."""
         m = exps[i]
         step = 1 if m > target else -1
         factor = self.eps if step == 1 else self.sgn * self.eps
@@ -105,7 +158,7 @@ def rand_tangent_config(rng, parity, m):
 
 def cases(seed, count):
     """(data, word) pairs on fans and tangent configurations, m 2..6, every
-    parity class; one interior twist of each word is drawn up to +-40."""
+    parity class; one interior twist of each word is drawn up to +-100."""
     rng = random.Random(seed)
     for t in range(count):
         parity = ParityClass(t % 4)
@@ -115,36 +168,88 @@ def cases(seed, count):
         pts = rand_groupoid_points(rng, m, rng.randint(1, 5))
         exps = [rng.randint(-2, 2) for _ in pts]
         if len(pts) > 2:
-            exps[rng.randrange(1, len(pts) - 1)] = rng.randint(-40, 40)
+            exps[rng.randrange(1, len(pts) - 1)] = rng.randint(-100, 100)
         yield data, GroupoidWord(tuple(pts), tuple(exps))
 
 
-def steps_used(cls, data, w, seed):
-    """(value, steps taken) of one evaluation by cls with a large budget."""
+def reference(data, w, seed):
     rng = None if seed is None else random.Random(seed)
-    ev = cls(data, rng, 10**6)
-    value = ev.ev(tuple(range(1, data.cfg.m + 1)), w.points, w.exps)
+    return RefEvaluator(data, rng, 10**6).ev(tuple(range(1, data.cfg.m + 1)), w.points, w.exps)
+
+
+def steps_used(data, w):
+    """(value, budget units charged) of one chi_evaluate with a large budget."""
+    ev = _Evaluator(data, None, 10**6)
+    value = ev.run(tuple(range(1, data.cfg.m + 1)), w.points, w.exps)
     return value, 10**6 - ev.steps
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1])
 def test_chi_matches_reference(seed):
     for data, w in cases(9100, 200):
-        got = steps_used(_Evaluator, data, w, seed)
-        assert got == steps_used(RefEvaluator, data, w, seed), str(w)
-        if seed is None:
-            assert chi_evaluate(data, w) == got[0]
+        rng = None if seed is None else random.Random(seed)
+        assert chi_evaluate(data, w, rng=rng) == reference(data, w, seed), str(w)
+
+
+def test_cost_does_not_grow_with_twists():
+    """A twist of t and one of t + 1000*sign(t) cost the same budget units:
+    each is moved to its target in one step."""
+    checked = 0
+    for data, w in cases(9150, 200):
+        for i in range(1, len(w.points) - 1):
+            t = w.exps[i]
+            if abs(t) < 2:
+                continue
+            far_t = t + (1000 if t > 0 else -1000)
+            far = GroupoidWord(w.points, w.exps[:i] + (far_t,) + w.exps[i + 1:])
+            assert steps_used(data, w)[1] == steps_used(data, far)[1], str(w)
+            checked += 1
+    assert checked > 100
 
 
 def test_budget_error_matches_reference():
+    """The budget counts budget units as steps_used does: used + 1 is enough,
+    used is not."""
     for data, w in cases(9200, 80):
-        value, used = steps_used(_Evaluator, data, w, None)
+        value, used = steps_used(data, w)
+        assert value == reference(data, w, None)
         assert chi_evaluate(data, w, max_steps=used + 1) == value
         with pytest.raises(GroupoidError, match="step budget exhausted"):
             chi_evaluate(data, w, max_steps=used)
-        ref = RefEvaluator(data, None, used)
-        with pytest.raises(GroupoidError, match="step budget exhausted"):
-            ref.ev(tuple(range(1, data.cfg.m + 1)), w.points, w.exps)
+
+
+@pytest.mark.parametrize("parity", range(4))
+def test_chi_matches_dense_character_at_huge_twists(parity):
+    """On random fans, m 3..6, with interior twists of 3, 10^6 and 10^400 of
+    either sign, chi^Q(w) is the entry (target, source) of the character of N
+    on w's anchor word, whose row kernel takes g_i^k in closed form."""
+    rng = random.Random(9400 + parity)
+    twists = [s * t for t in (3, 10**6, 10**400) for s in (1, -1)]
+    for _ in range(12):
+        fan = rand_fan(rng, ParityClass(parity), 3, 6)
+        N = rand_N(rng, fan.cfg.parity, fan.cfg.m, bound=3)
+        Q = forward_Q(fan, N)
+        pts = rand_groupoid_points(rng, fan.cfg.m, rng.randint(2, 4))
+        exps = [rng.randint(-2, 2)] + [rng.choice(twists) for _ in pts[1:-1]] + [rng.randint(-2, 2)]
+        w = GroupoidWord(tuple(pts), tuple(exps))
+        want = character(N, anchor_word(fan, w).word)[w.target - 1][w.source - 1]
+        assert chi_evaluate(Q, w) == want, str(w)
+
+
+def test_normalize_matches_reference():
+    """The one-pass normalisation gives the reference's fixed point: the
+    same word and sign, on random words rich in zero twists and on
+    palindromes, which cancel from the middle out."""
+    rng = random.Random(9500)
+    for bsign in (1, -1):
+        ref, new = RefEvaluator.__new__(RefEvaluator), _Evaluator.__new__(_Evaluator)
+        ref.bsign = new.bsign = bsign
+        for _ in range(3000):
+            pts = rand_groupoid_points(rng, rng.randint(2, 4), rng.randint(0, 10))
+            if rng.random() < 0.3:
+                pts += pts[-2::-1]
+            exps = tuple(rng.choice((0, 0, 0, 1, -1, 2, 10**30 + 1)) for _ in pts)
+            assert new._normalize(tuple(pts), exps) == ref._normalize(tuple(pts), exps)
 
 
 def test_rel2_twists_match_mu_indices():
