@@ -236,13 +236,15 @@ class _Evaluator:
         the sign b^(x&1)) and B = pts[i:] do not depend on x.  Summed over x
         in [lo, hi], chi(m) = chi(target) - f S chi(A0) chi(B), where S, the
         sum of b^(x&1), is the range's length for b = 1 and #even - #odd
-        for b = -1."""
+        for b = -1; when S = 0, chi(A0) and chi(B) are not evaluated."""
         m = exps[i]
         step = 1 if m > target else -1
         lo, hi = (target, m - 1) if step == 1 else (m + 1, target)
         n = hi - lo + 1
         weight = n if self.bsign == 1 else (n & 1) * (1 - 2 * (lo & 1))
         value = yield active, pts, exps[:i] + (target,) + exps[i + 1:]
+        if weight == 0:
+            return value
         a = yield active, pts[: i + 1], exps[:i] + (0,)
         b = yield active, pts[i:], (0,) + exps[i + 1:]
         return value - self.factor[step] * weight * a * b
@@ -268,10 +270,10 @@ class _Evaluator:
 
         # shift every interior twist at e to its mu target
         for i in range(1, len(pts) - 1):
-            if pts[i] == e and exps[i] != self._mu_target(pts[i - 1], e, pts[i + 1]):
-                return (yield from self._split(
-                    active, pts, exps, i, self._mu_target(pts[i - 1], e, pts[i + 1])
-                ))
+            if pts[i] == e:
+                target = self._mu_target(pts[i - 1], e, pts[i + 1])
+                if exps[i] != target:
+                    return (yield from self._split(active, pts, exps, i, target))
 
         # every visit of e now carries exactly its mu-index; unfold each
         # through the angular chain around e and drop e from the config

@@ -21,6 +21,7 @@ from braidmono import (
     GroupoidWord,
     ParityClass,
     anchor_word,
+    build_fan_config,
     character,
     chi_evaluate,
     extremal_points,
@@ -234,6 +235,29 @@ def test_chi_matches_dense_character_at_huge_twists(parity):
         w = GroupoidWord(tuple(pts), tuple(exps))
         want = character(N, anchor_word(fan, w).word)[w.target - 1][w.source - 1]
         assert chi_evaluate(Q, w) == want, str(w)
+
+
+@pytest.mark.parametrize("parity", [0, 2])
+def test_zero_weight_split_evaluates_no_side_words(parity):
+    """For n even (b = -1) a twist moved over a range of even length has
+    S = 0, so chi(m) = chi(target) and neither A0 nor B is evaluated: the
+    word costs its own points plus its target word's.  That budget is short
+    by the four points A0 and B would cost, so a twist one unit further
+    (S = +-1) exhausts it."""
+    fan = build_fan_config([(-2, 4), (0, 5), (2, 4)], (0, -1), ParityClass(parity))
+    N = rand_N(random.Random(9700 + parity), fan.cfg.parity, 3, bound=4)
+    Q = forward_Q(fan, N)
+    target = mu_index(fan.cfg, 1, 2, 3)
+    at_target = GroupoidWord((1, 2, 3), (0, target, 0))
+    want, used = steps_used(Q, at_target)
+    budget = 3 + used + 1
+    for k in (1, -1, 7, -500_000):
+        w = GroupoidWord((1, 2, 3), (0, target + 2 * k, 0))
+        assert chi_evaluate(Q, w, max_steps=budget) == want
+        assert want == character(N, anchor_word(fan, w).word)[0][2]
+        odd = GroupoidWord((1, 2, 3), (0, target + 2 * k + 1, 0))
+        with pytest.raises(GroupoidError, match="step budget exhausted"):
+            chi_evaluate(Q, odd, max_steps=budget)
 
 
 def test_normalize_matches_reference():
