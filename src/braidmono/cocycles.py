@@ -4,9 +4,11 @@ coboundary transport, and braid-word equality.
 
 reduce_reps never builds the free-group cocycle: it folds the reduced
 cocycle law R(u l) = R(u) * u_#(R(l)) over the letters, with closed-form
-single-letter values, so a braid of L letters costs O(L * m) Laurent
-products.  The word path (abelian_reduce entrywise on magnus_cocycle or
-pl_cocycle) is its test oracle.
+single-letter values.  The path-change reductions (tym, tym_framed,
+linking) fold a permutation and one exponent vector per column, O(L + m^2)
+for a braid of L letters; the Magnus reductions (burau, gassner) cost
+O(L * m) Laurent products.  The word path (abelian_reduce entrywise on
+magnus_cocycle or pl_cocycle) is its test oracle.
 """
 
 from __future__ import annotations
@@ -112,18 +114,22 @@ def _fold(b: BraidWord, source: str, multivariate: bool) -> list:
     """Columns of the reduced cocycle, by R(u l) = R(u) * u_#(R(l)) over the
     letters l of b.  After abelianization u_* only renames variables,
     t_i -> t_{pi_u(i)} with pi_u = braid_permutation(u); with one variable
-    it does nothing.  A letter rewrites at most two columns."""
+    it does nothing.  A letter rewrites at most two columns.  The path-change
+    value is monomial, so its columns are a permutation `rows` and one
+    exponent list each, O(1) per letter; Magnus columns are Laurent sums."""
     m = b.m
     width = m if multivariate else 1
-    cols = [{(j, (0,) * width): 1} for j in range(m)]
     var = list(range(m)) if multivariate else [0] * m
-    for kind, k, e in b.letters:
-        if source == "pl":  # pl_letter's g_i^x reduces to t_i^-x
+    if source == "pl":  # pl_letter's g_i^x reduces to t_i^-x
+        rows, exps = list(range(m)), [[0] * width for _ in range(m)]
+        for kind, k, e in b.letters:
             c, r, i, x = pl_letter(kind, k, e)
-            v = var[i - 1]
-            cols[r], cols[c] = cols[c], _combine(width, v, v, [(cols[r], ((1, -x, 0),))])
+            rows[r], rows[c], exps[r], exps[c] = rows[c], rows[r], exps[c], exps[r]
+            exps[c][var[i - 1]] -= x
             var[r], var[c] = var[c], var[r]  # c == r for e letters
-            continue
+        return [{(row, tuple(v)): 1} for row, v in zip(rows, exps)]
+    cols = [{(j, (0,) * width): 1} for j in range(m)]
+    for kind, k, e in b.letters:
         a, bb = k - 2, k - 1
         x_aa, x_ab, x_ba, x_bb = _SIGMA_BLOCKS[e]
         ca, cb = cols[a], cols[bb]

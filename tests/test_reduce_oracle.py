@@ -132,14 +132,47 @@ def ref_pl_fold(b, multivariate):
     return cols
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 8))
 def test_pl_fold_matches_letter_blocks(m):
     rng = random.Random(6000 + m)
     words = [BraidWord(m, (letter,)) for letter in letters(m, framed=True)]
     words += [rand_braid(rng, m, rng.randint(0, 16)) for _ in range(40)]
+    words += [rand_braid(rng, m, rng.randint(100, 400), framed=f or m == 1)
+              for f in (True, False) * 3]
     for b in words:
         for multivariate in (False, True):
-            assert _fold(b, "pl", multivariate) == ref_pl_fold(b, multivariate), str(b)
+            cols = _fold(b, "pl", multivariate)
+            assert cols == ref_pl_fold(b, multivariate), str(b)
+            # the monomial state: one term per column, coefficient 1, and
+            # the rows of the columns a permutation
+            assert all(len(col) == 1 and set(col.values()) == {1} for col in cols)
+            assert sorted(r for col in cols for r, _ in col) == list(range(m))
+
+
+def full_twist(m):
+    """Delta^2 = (s2 s3 ... sm)^m, central: it acts on Gamma_m as conjugation
+    by g_1 ... g_m, so images grow linearly along its powers and the word
+    path stays cheap on long words."""
+    return BraidWord(m, tuple(("s", k, 1) for _ in range(m) for k in range(2, m + 1)))
+
+
+@pytest.mark.parametrize("m", (3, 4, 5))
+def test_pl_reductions_on_200_letter_words(m):
+    rng = random.Random(6100 + m)
+    twists = full_twist(m)
+    while len(twists.letters) < 200:
+        twists = twists * full_twist(m)
+    for _ in range(2):
+        w = rand_braid(rng, m, 6, framed=False)
+        pure = w * twists * w.inverse()  # conjugate of a full-twist power: pure
+        framed = []
+        for letter in pure.letters:
+            framed.append(letter)
+            if rng.random() < 0.2:
+                framed.append(("e", rng.randint(1, m), rng.choice((1, -1))))
+        framed = BraidWord(m, tuple(framed))
+        for rep, b in (("tym", pure), ("tym_framed", framed), ("linking", pure)):
+            check(b, rep)
 
 
 # --- errors -----------------------------------------------------------------

@@ -139,3 +139,32 @@ def test_coxeter_polynomial_along_braid_orbits(name):
         for _ in range(40):  # a random walk along the braid orbit
             N = cocycle_and_action(rand_braid(rng, mu, rng.randint(1, 4)), N)[1]
             assert charpoly(rho(N, total(mu))) == expect, (k, N.n)
+
+
+# --- Picard-Lefschetz: the total monodromy from the Seifert form -------------
+#
+# With L = I + eps * (strict upper part of N), the monodromy of the whole
+# fibration is rho_N(g_1 ... g_m) = -sgn * L^{-1} L^T (the variation
+# operator is L^{-1} up to sign).  L is unitriangular, so the identity is
+# checked as L rho_N(c) = -sgn L^T, without a division.
+
+def seifert(N):
+    eps, m = N.parity.eps, N.m
+    return [[int(i == j) + (eps * N.n[i][j] if j > i else 0) for j in range(m)] for i in range(m)]
+
+
+def picard_lefschetz_holds(N):
+    L, sgn = seifert(N), N.parity.sgn
+    return mat_mul(L, rho(N, total(N.m))) == [[-sgn * x for x in row] for row in zip(*L)]
+
+
+@pytest.mark.parametrize("parity", all_parities(), ids=lambda p: f"n{p.n_mod_4}")
+def test_picard_lefschetz_total_monodromy(parity):
+    rng = random.Random(f"picard-lefschetz:{parity.n_mod_4}")
+    for _ in range(150):
+        m = rng.randint(1, 7)
+        N = rand_N(rng, parity, m)
+        assert picard_lefschetz_holds(N), N.n
+        for _ in range(3):  # L recomputed from sigma^* N at each step of a walk
+            N = cocycle_and_action(rand_braid(rng, m, rng.randint(1, 4)), N)[1]
+            assert picard_lefschetz_holds(N), N.n
