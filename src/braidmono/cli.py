@@ -79,7 +79,11 @@ def _cmd_rep(args) -> dict:
 def _cmd_act(args) -> dict:
     N = ser.load_int_matrix(args.matrix)
     b = parse_braid(args.word, N.m)
-    S, out = cocycle_and_action(b, N)
+    limit = sys.get_int_max_str_digits()  # an entry past it could not be printed
+    try:
+        S, out = cocycle_and_action(b, N, (10**limit - 1).bit_length() if limit else None)
+    except OverflowError as exc:
+        raise ValueError(f"act: {exc}") from None
     return {"S": S, "N_out": ser.int_matrix_json(N.parity, out.n)}
 
 

@@ -143,7 +143,9 @@ def _fold(b: BraidWord, source: str, multivariate: bool) -> list:
 def reduce_reps(b: BraidWord, rep: str) -> RingMatrix:
     """Laurent reduction of the Magnus or path-change cocycle, folded letter
     by letter; equal to abelian_reduce entrywise on magnus_cocycle(b) or
-    pl_cocycle(b).to_dense()."""
+    pl_cocycle(b).to_dense().  The path-change reps (tym, tym_framed,
+    linking) come back as monomial matrices: one zero shared by every empty
+    entry of the call and one monomial per column, m + 1 ring elements."""
     if rep not in _REPS:
         raise WordError(f"unknown representation {rep!r}")
     source, mode, framed_ok, needs_pure = _REPS[rep]
@@ -152,12 +154,20 @@ def reduce_reps(b: BraidWord, rep: str) -> RingMatrix:
     if needs_pure and not braid_permutation(b)[1]:
         raise WordError(f"{rep} requires a pure braid word")
     multivariate = mode == "multivariate"
+    nvars = b.m if multivariate else 0
+    cols = _fold(b, source, multivariate)
+    if source == "pl":
+        zero = LaurentElt(nvars, {})
+        rows = [[zero] * b.m for _ in range(b.m)]
+        for j, col in enumerate(cols):
+            for (r, v), coef in col.items():  # one term
+                rows[r][j] = LaurentElt(nvars, {v: coef})
+        return RingMatrix(rows)
     rows = [[{} for _ in range(b.m)] for _ in range(b.m)]
     monos: dict = {}  # one key object per exponent vector, shared by all entries
-    for j, col in enumerate(_fold(b, source, multivariate)):
+    for j, col in enumerate(cols):
         for (r, v), coef in col.items():
             rows[r][j][monos.setdefault(v, v)] = coef
-    nvars = b.m if multivariate else 0
     entries: dict = {}  # equal entries share one object, which keeps outputs small
 
     def entry(terms):

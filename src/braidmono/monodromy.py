@@ -8,7 +8,8 @@ form, moves rows through rho_N for rho, character (O(syllables m^2)),
 character_transform = S^T (N rho_N(g)) S and reconstruct's interval push.
 theoremB_S and act_on_N fold the cocycle law over the braid letters,
 O(|sigma| m), without free-group words.  Costs count integer operations,
-which get dearer as entries grow with the word.  The word-based
+which get dearer as entries grow with the word; cocycle_and_action takes a
+bit budget on them.  The word-based
 definitions (S read off pl_cocycle, rho as a product of generator
 matrices) are the reference the tests compare against.
 """
@@ -161,7 +162,7 @@ def character(N: IntersectionMatrix, g: FreeWord):
     return _push(N.n, N, g)
 
 
-def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool):
+def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool, max_bits=None):
     """Fold the cocycle law S(uv, N) = S(u, N) S(v, u^*N) letter by letter.
 
     On one letter S = P + t e_i e_i^T, where P swaps columns i and j
@@ -171,14 +172,17 @@ def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool):
     parity.rho_coeff(-x).
 
     N <- S^T N S and S <- S * S_letter each cost O(m) per letter.  Returns
-    (S, rows of sigma^* N); S is [] unless with_S.
+    (S, rows of sigma^* N); S is [] unless with_S.  max_bits bounds the
+    cost, as entries may grow doubly exponentially with the word: a letter
+    that writes an entry of more than max_bits bits raises OverflowError
+    naming the entry and the letter's position.
     """
     if sigma.m != N.m:
         raise WordError(f"strand count {sigma.m} vs matrix size {N.m}")
     s_of = {x: N.parity.rho_coeff(-x) for x in (1, -1)}
     rows = N.rows()
     S = mat_eye(N.m) if with_S else []
-    for kind, k, e in sigma.letters:
+    for p, (kind, k, e) in enumerate(sigma.letters, 1):
         i, j, _, x = pl_letter(kind, k, e)
         t = -s_of[x] * rows[i][j]
         # times S_letter on the right: column j takes column i, column i
@@ -187,6 +191,13 @@ def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool):
             r[j], r[i] = r[i], r[j] + t * r[i]
         # times S_letter^T on the left: the same on rows of N
         rows[j], rows[i] = rows[i], [a + t * b for a, b in zip(rows[j], rows[i])]
+        if max_bits is not None:  # new entries: row i of N (column i is +-it), column i of S
+            written = chain((("N", i, c, v) for c, v in enumerate(rows[i])),
+                            (("S", r, i, row[i]) for r, row in enumerate(S)))
+            for name, r, c, v in written:
+                if v.bit_length() > max_bits:
+                    raise OverflowError(f"{name} entry ({r + 1},{c + 1}) passes the "
+                                        f"{max_bits}-bit budget at letter {p}")
     return S, rows
 
 
@@ -202,9 +213,10 @@ def act_on_N(sigma: BraidWord, N: IntersectionMatrix) -> IntersectionMatrix:
     return validate_N(N.parity, _fold(sigma, N, with_S=False)[1])
 
 
-def cocycle_and_action(sigma: BraidWord, N: IntersectionMatrix):
-    """(theoremB_S(sigma, N), act_on_N(sigma, N)) from one fold."""
-    S, rows = _fold(sigma, N, with_S=True)
+def cocycle_and_action(sigma: BraidWord, N: IntersectionMatrix, max_bits=None):
+    """(theoremB_S(sigma, N), act_on_N(sigma, N)) from one fold, refused
+    with OverflowError past a bit budget max_bits as in _fold."""
+    S, rows = _fold(sigma, N, with_S=True, max_bits=max_bits)
     return S, validate_N(N.parity, rows)
 
 

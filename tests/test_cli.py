@@ -117,17 +117,38 @@ def test_n_class_comes_from_the_matrix_file(capsys, files, argv):
 
 def test_outputs_past_digit_limit(capsys, files):
     # entries of the action grow doubly exponentially in the braid length:
-    # (s2 s3')^11 still prints, (s2 s3')^12 passes 4300 decimal digits
+    # (s2 s3')^11 still prints; in (s2 s3')^12, letter 23 writes an entry
+    # past 4300 decimal digits (14285 bits), which the bit budget refuses
     _, N = files
     code, _, _ = run(capsys, "act", "--matrix", N, "s2 s3' " * 11)
     assert code == 0
     code, out, err = run(capsys, "act", "--matrix", N, "s2 s3' " * 12)
     assert code == 1 and out == ""
-    assert err == "error: act: S entry (1,3) has more than 4300 decimal digits\n"
+    assert err == "error: act: N entry (1,3) passes the 14285-bit budget at letter 23\n"
     # characters grow exponentially in the word length
     code, out, err = run(capsys, "character", "--matrix", N, "--g", "g2 g3' " * 4200)
     assert code == 1 and out == ""
     assert err == "error: character: matrix entry (1,1) has more than 4300 decimal digits\n"
+
+
+def test_act_is_bounded_by_the_digit_limit_in_bits(capsys, tmp_path):
+    """On a class-0 N off every Dynkin orbit, (s2 s3')^17 took seconds and
+    each further pair about 4x longer; the bit equivalent of the digit limit
+    refuses it within the fold, in under 1 s, at the first letter that
+    writes a longer entry.  The word w w^-1 fixes N, but its entries grow
+    on the way, so it is refused too."""
+    N = write(tmp_path, "N.json", {"n_class": 0, "matrix": [[2, 3, 1], [3, 2, 2], [1, 2, 2]]})
+    for n in (17, 40):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "act", "--matrix", N, "s2 s3' " * n)
+        assert time.perf_counter() - t0 < 1
+        assert one_line_error(code, out, err), err
+        assert err == "error: act: N entry (1,3) passes the 14285-bit budget at letter 23\n"
+    code, out, err = run(capsys, "act", "--matrix", N, "s2 s3' " * 9 + "s3 s2' " * 9)
+    assert json.loads(out)["N_out"]["matrix"] == [[2, 3, 1], [3, 2, 2], [1, 2, 2]]
+    code, out, err = run(capsys, "act", "--matrix", N, "s2 s3' " * 12 + "s3 s2' " * 12)
+    assert one_line_error(code, out, err), err
+    assert err == "error: act: N entry (1,3) passes the 14285-bit budget at letter 23\n"
 
 
 def test_every_output_past_digit_limit_is_named(capsys, tmp_path):

@@ -1,6 +1,10 @@
+import re
+from itertools import chain
+
 import pytest
 
 from braidmono import (
+    BraidWord,
     FreeWord,
     ParityClass,
     ParityError,
@@ -8,6 +12,7 @@ from braidmono import (
     braid_act_word,
     character,
     character_transform,
+    cocycle_and_action,
     cover_character,
     cover_example,
     kernel_basis,
@@ -161,6 +166,62 @@ def test_integer_cocycle_law(rng):
             lhs = theoremB_S(u * v, N)
             rhs = mat_mul(theoremB_S(u, N), theoremB_S(v, act_on_N(u, N)))
             assert lhs == rhs
+
+
+def first_past_budget(sigma, N, max_bits):
+    """The reference for the fold's bit budget: the first prefix of sigma
+    whose S or sigma^* N, computed whole and without a budget, holds an
+    entry of more than max_bits bits, as (letter position, that state)."""
+    for p in range(1, len(sigma.letters) + 1):
+        S, moved = cocycle_and_action(BraidWord(sigma.m, sigma.letters[:p]), N)
+        if max(abs(x).bit_length() for x in chain(*S, *moved.n)) > max_bits:
+            return p, S, moved.n
+    return None
+
+
+@pytest.mark.parametrize("parity", all_parities(), ids=lambda p: f"n{p.n_mod_4}")
+def test_fold_bit_budget_refuses_at_the_first_long_entry(rng, parity):
+    """The fold checks only the row and column each letter writes; that
+    finds the first letter whose whole state passes the budget, and names
+    an entry of that state which does."""
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        N, sigma = rand_N(rng, parity, m), rand_braid(rng, m, rng.randint(0, 30))
+        want = cocycle_and_action(sigma, N)
+        max_bits = rng.randint(2, 40)
+        past = first_past_budget(sigma, N, max_bits)
+        if past is None:
+            assert cocycle_and_action(sigma, N, max_bits) == want
+            continue
+        p, S, moved = past
+        with pytest.raises(OverflowError) as exc:
+            cocycle_and_action(sigma, N, max_bits)
+        name, r, c = re.fullmatch(
+            rf"([NS]) entry \((\d+),(\d+)\) passes the {max_bits}-bit budget at letter {p}",
+            str(exc.value)).groups()
+        assert abs((moved if name == "N" else S)[int(r) - 1][int(c) - 1]).bit_length() > max_bits
+
+
+def test_fold_bit_budget_on_a_pseudo_anosov_word():
+    """(s2 s3')^n on a class-0 N off every Dynkin orbit: entries grow about
+    1.6x in bits per letter, so (s2 s3')^17 ran for seconds.  Within a
+    budget the result is the unbounded one; act_on_N and theoremB_S keep no
+    budget.  A word that grows and shrinks back (w w^-1) is refused too."""
+    N = validate_N(ParityClass(0), [[2, 3, 1], [3, 2, 2], [1, 2, 2]])
+    w = parse_braid("s2 s3' " * 9, 3)
+    S, moved = cocycle_and_action(w, N)
+    bits = max(abs(x).bit_length() for x in chain(*S, *moved.n))
+    assert cocycle_and_action(w, N, bits) == (S, moved)
+    assert (theoremB_S(w, N), act_on_N(w, N)) == (S, moved)
+    with pytest.raises(OverflowError, match=rf"-bit budget at letter {len(w.letters)}$"):
+        cocycle_and_action(w, N, bits - 1)
+    with pytest.raises(OverflowError) as exc:
+        cocycle_and_action(parse_braid("s2 s3' " * 17, 3), N, 14285)
+    assert str(exc.value) == "N entry (1,3) passes the 14285-bit budget at letter 23"
+    back = w * w.inverse()  # its result is N itself, but it passes through w's
+    assert cocycle_and_action(back, N)[1] == N
+    with pytest.raises(OverflowError, match=rf"-bit budget at letter {len(w.letters)}$"):
+        cocycle_and_action(back, N, bits - 1)
 
 
 def test_character_transform_matches_action(rng):

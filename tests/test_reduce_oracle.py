@@ -175,6 +175,47 @@ def test_pl_reductions_on_200_letter_words(m):
             check(b, rep)
 
 
+# --- the path-change reps as monomial matrices --------------------------------
+
+def pl_words(rng, m, rep):
+    """The empty word and one word of 400+ letters that rep takes: a
+    conjugate of a full-twist power (pure, for linking), times a short word
+    for tym and tym_framed, with framing letters put in for tym_framed.  At
+    m = 1 only tym_framed takes a word other than 1."""
+    if m == 1:
+        return [BraidWord.identity(1)] + [rand_braid(rng, 1, 400)] * (rep == "tym_framed")
+    twists = full_twist(m)
+    while len(twists.letters) < 400:
+        twists = twists * full_twist(m)
+    w = rand_braid(rng, m, 6, framed=False)
+    b = w * twists * w.inverse()
+    if rep != "linking":
+        b = b * rand_braid(rng, m, 6, framed=False)
+    if rep == "tym_framed":
+        b = BraidWord(m, tuple(x for letter in b.letters for x in (
+            (letter, ("e", rng.randint(1, m), rng.choice((1, -1)))) if rng.random() < 0.2
+            else (letter,))))
+    return [BraidWord.identity(m), b]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_pl_reps_are_monomial_matrices(m):
+    """One entry other than 0 per row and per column; every zero entry of a
+    call is one object, so a call holds m + 1 ring elements (m at m = 1);
+    two calls share no entry; and the output is the word oracle's."""
+    rng = random.Random(6200 + m)
+    for rep in ("tym", "tym_framed", "linking"):
+        for b in pl_words(rng, m, rep):
+            out, again = reduce_reps(b, rep), reduce_reps(b, rep)
+            assert out == ref_reduce(b, rep), (rep, str(b))
+            nonzero = [[not x.is_zero() for x in row] for row in out.rows]
+            assert all(sum(line) == 1 for line in (*nonzero, *zip(*nonzero))), (rep, str(b))
+            ids = {id(x) for row in out.rows for x in row}
+            assert len({id(x) for row in out.rows for x in row if x.is_zero()}) == (m > 1)
+            assert len(ids) == m + (m > 1), (rep, str(b))
+            assert not ids & {id(x) for row in again.rows for x in row}, (rep, str(b))
+
+
 # --- errors -----------------------------------------------------------------
 
 def test_error_messages():

@@ -168,3 +168,65 @@ def test_picard_lefschetz_total_monodromy(parity):
         for _ in range(3):  # L recomputed from sigma^* N at each step of a walk
             N = cocycle_and_action(rand_braid(rng, m, rng.randint(1, 4)), N)[1]
             assert picard_lefschetz_holds(N), N.n
+
+
+# --- Sebastiani-Thom: x^p + y^q from the Seifert forms of A_{p-1}, A_{q-1} ---
+#
+# The variation form of f(x) + g(y) is the tensor product of theirs
+# (Sebastiani-Thom 1971, Gabrielov 1973), so L = L_{A_{p-1}} (x) L_{A_{q-1}},
+# both read off the Dynkin matrices by seifert() above, is unitriangular in
+# the lexicographic order and gives the N with N = eps (L + sgn L^T).  Its
+# total monodromy is then -sgn (L_A^{-1} L_A^T) (x) (L_B^{-1} L_B^T), where
+# the A_{k-1} factor has eigenvalues -zeta_k^a (a = 1..k-1): the sign is the
+# one the Picard-Lefschetz identity fixes, so rho_N(g_1 ... g_mu) has roots
+# -sgn zeta_p^a zeta_q^b.  N is singular where L^{-1} L^T has the eigenvalue
+# -sgn: dim ker N = #{a/p + b/q in Z} for n odd, #{a/p + b/q = 1/2 mod 1}
+# for n even.  (3,4) is E6, (4,4) is X9, (3,6) is J10.
+
+from braidmono import kernel_basis  # noqa: E402
+
+
+def sebastiani_thom(parity, p, q):
+    """N of x^p + y^q in the given parity class."""
+    LA, LB = (seifert(dynkin(parity, a_type(k - 1)[0], k - 1)) for k in (p, q))
+    L = [[a * b for a in ra for b in rb] for ra in LA for rb in LB]  # Kronecker
+    eps, sgn = parity.eps, parity.sgn
+    N = validate_N(parity, [[eps * (x + sgn * y) for x, y in zip(row, col)]
+                            for row, col in zip(L, zip(*L))])
+    assert seifert(N) == L
+    return N
+
+
+def sebastiani_thom_polynomial(parity, p, q):
+    """prod_{a,b} (t + sgn zeta_p^a zeta_q^b), zeta_p^a zeta_q^b = e^{2 pi i (aq + bp) / pq}."""
+    want = coxeter_polynomial(p * q, [a * q + b * p for a in range(1, p) for b in range(1, q)])
+    return [(-1) ** i * x for i, x in enumerate(want)] if parity.sgn > 0 else want
+
+
+def sebastiani_thom_nullity(parity, p, q):
+    """#{(a, b) : a/p + b/q = 0 mod 1} for n odd, = 1/2 mod 1 for n even."""
+    target = 0 if parity.sgn < 0 else p * q  # 2 (aq + bp) mod 2pq
+    return sum(2 * (a * q + b * p) % (2 * p * q) == target
+               for a in range(1, p) for b in range(1, q))
+
+
+@pytest.mark.parametrize("pq", [(3, 4), (4, 4), (3, 6), (6, 6)], ids=str)
+def test_sebastiani_thom_total_monodromy_and_kernel(pq):
+    p, q = pq
+    mu = (p - 1) * (q - 1)
+    rng = random.Random(f"sebastiani-thom:{p},{q}")
+    nullity = {}
+    for parity in all_parities():
+        N = sebastiani_thom(parity, p, q)
+        want, dim = sebastiani_thom_polynomial(parity, p, q), sebastiani_thom_nullity(parity, p, q)
+        nullity[parity.n_mod_4] = dim
+        for step in range(3):  # along a random walk in the braid orbit
+            assert picard_lefschetz_holds(N)
+            assert charpoly(rho(N, total(mu))) == want, (parity.n_mod_4, step)
+            rank, basis = kernel_basis(N)
+            assert (rank, len(basis)) == (mu - dim, dim), (parity.n_mod_4, step)
+            N = cocycle_and_action(rand_braid(rng, mu, rng.randint(1, 3)), N)[1]
+    # the counts by hand: n odd, then n even
+    assert (nullity[1], nullity[0]) == {(3, 4): (0, 0), (4, 4): (3, 2), (3, 6): (2, 2),
+                                        (6, 6): (5, 4)}[pq]
+    assert nullity[1] == nullity[3] and nullity[0] == nullity[2]
