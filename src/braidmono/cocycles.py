@@ -5,10 +5,12 @@ coboundary transport, and braid-word equality.
 reduce_reps never builds the free-group cocycle: it folds the reduced
 cocycle law R(u l) = R(u) * u_#(R(l)) over the letters, with closed-form
 single-letter values.  The path-change reductions (tym, tym_framed,
-linking) fold a permutation and one exponent vector per column, O(L + m^2)
-for a braid of L letters; the Magnus reductions (burau, gassner) cost
-O(L * m) Laurent products.  The word path (abelian_reduce entrywise on
-magnus_cocycle or pl_cocycle) is its test oracle.
+linking) take one pass over a braid of L letters, O(L + m^2): a row
+permutation and one exponent list per column, letters read from a table
+pl_letter fills, epsilon letters refused and purity read off the
+permutation in the pass, the result assembled without re-checks.  The
+Magnus reductions (burau, gassner) cost O(L * m) Laurent products.  The
+word path (abelian_reduce on magnus_cocycle or pl_cocycle) is the oracle.
 """
 
 from __future__ import annotations
@@ -110,24 +112,42 @@ def _combine(width, x, y, parts):
     return {key: coef for key, coef in out.items() if coef}
 
 
-def _fold(b: BraidWord, source: str, multivariate: bool) -> list:
-    """Columns of the reduced cocycle, by R(u l) = R(u) * u_#(R(l)) over the
-    letters l of b.  After abelianization u_* only renames variables,
-    t_i -> t_{pi_u(i)} with pi_u = braid_permutation(u); with one variable
-    it does nothing.  A letter rewrites at most two columns.  The path-change
-    value is monomial, so its columns are a permutation `rows` and one
-    exponent list each, O(1) per letter; Magnus columns are Laurent sums."""
+# letter -> pl_letter(*letter), filled on first sight; table False holds no epsilon letter
+_PL_LETTERS: dict = {True: {}, False: {}}
+
+
+def _pl_fold(b: BraidWord, multivariate: bool, rep=None) -> tuple:
+    """(rows, exps): column j of b's path-change reduction is t^exps[j] at
+    row rows[j].  pl_letter's g_i^x reduces to t_i^-x and u_# renames the
+    variables by the row permutation (one variable: none), so a letter
+    (c, r, i, x) takes x off column r's exponent and swaps columns r and c.
+    rep, if given, names the rep that refuses epsilon letters."""
+    m, table = b.m, _PL_LETTERS[rep is None]
+    rows = list(range(m))
+    var = rows if multivariate else [0] * m
+    exps = [[0] * (m if multivariate else 1) for _ in range(m)]
+    for letter in b.letters:
+        try:
+            c, r, i, x = table[letter]
+        except KeyError:
+            if rep and letter[0] == "e":
+                raise WordError(f"{rep} requires a braid word without epsilon letters") from None
+            c, r, i, x = table[letter] = pl_letter(*letter)
+        col = exps[r]
+        col[var[i - 1]] -= x
+        exps[r], exps[c] = exps[c], col
+        rows[r], rows[c] = rows[c], rows[r]  # the var swap, when var is rows
+    return rows, exps
+
+
+def _magnus_fold(b: BraidWord, multivariate: bool) -> list:
+    """Columns of the reduced Magnus cocycle, by R(u l) = R(u) * u_#(R(l))
+    over the letters l of b.  After abelianization u_* only renames
+    variables, t_i -> t_{pi_u(i)} with pi_u = braid_permutation(u); with one
+    variable it does nothing.  A letter rewrites two columns, Laurent sums."""
     m = b.m
     width = m if multivariate else 1
     var = list(range(m)) if multivariate else [0] * m
-    if source == "pl":  # pl_letter's g_i^x reduces to t_i^-x
-        rows, exps = list(range(m)), [[0] * width for _ in range(m)]
-        for kind, k, e in b.letters:
-            c, r, i, x = pl_letter(kind, k, e)
-            rows[r], rows[c], exps[r], exps[c] = rows[c], rows[r], exps[c], exps[r]
-            exps[c][var[i - 1]] -= x
-            var[r], var[c] = var[c], var[r]  # c == r for e letters
-        return [{(row, tuple(v)): 1} for row, v in zip(rows, exps)]
     cols = [{(j, (0,) * width): 1} for j in range(m)]
     for kind, k, e in b.letters:
         a, bb = k - 2, k - 1
@@ -144,25 +164,29 @@ def reduce_reps(b: BraidWord, rep: str) -> RingMatrix:
     """Laurent reduction of the Magnus or path-change cocycle, folded letter
     by letter; equal to abelian_reduce entrywise on magnus_cocycle(b) or
     pl_cocycle(b).to_dense().  The path-change reps (tym, tym_framed,
-    linking) come back as monomial matrices: one zero shared by every empty
-    entry of the call and one monomial per column, m + 1 ring elements."""
+    linking) take one pass, _pl_fold, which refuses epsilon letters; purity
+    is read off its row permutation.  They come back as monomial matrices
+    built without re-checks: one zero for every empty entry and one
+    monomial per column, m + 1 ring elements."""
     if rep not in _REPS:
         raise WordError(f"unknown representation {rep!r}")
     source, mode, framed_ok, needs_pure = _REPS[rep]
+    multivariate = mode == "multivariate"
+    nvars = b.m if multivariate else 0
+    if source == "pl":
+        rows, exps = _pl_fold(b, multivariate, None if framed_ok else rep)
+        if needs_pure and rows != list(range(b.m)):
+            raise WordError(f"{rep} requires a pure braid word")
+        zero = LaurentElt._of(nvars, {})
+        out = [[zero] * b.m for _ in rows]
+        for j, r in enumerate(rows):
+            out[r][j] = LaurentElt._of(nvars, {tuple(exps[j]): 1})
+        return RingMatrix._of(tuple(map(tuple, out)))
     if not framed_ok and b.is_framed():
         raise WordError(f"{rep} requires a braid word without epsilon letters")
     if needs_pure and not braid_permutation(b)[1]:
         raise WordError(f"{rep} requires a pure braid word")
-    multivariate = mode == "multivariate"
-    nvars = b.m if multivariate else 0
-    cols = _fold(b, source, multivariate)
-    if source == "pl":
-        zero = LaurentElt(nvars, {})
-        rows = [[zero] * b.m for _ in range(b.m)]
-        for j, col in enumerate(cols):
-            for (r, v), coef in col.items():  # one term
-                rows[r][j] = LaurentElt(nvars, {v: coef})
-        return RingMatrix(rows)
+    cols = _magnus_fold(b, multivariate)
     rows = [[{} for _ in range(b.m)] for _ in range(b.m)]
     monos: dict = {}  # one key object per exponent vector, shared by all entries
     for j, col in enumerate(cols):

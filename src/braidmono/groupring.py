@@ -172,6 +172,13 @@ class LaurentElt(_SparseRing):
         self._ring = nvars
         self.terms = {v: c for v, c in terms.items() if c != 0}
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "LaurentElt":
+        """Trusted constructor: keys of the ring's arity, no coefficient 0."""
+        x = cls.__new__(cls)
+        x._ring, x.terms = nvars, terms
+        return x
+
     @staticmethod
     def one(nvars: int) -> "LaurentElt":
         return LaurentElt.var(nvars, e=0)

@@ -29,6 +29,13 @@ class RingMatrix:
         self.m = m
         self.rows = rows
 
+    @classmethod
+    def _of(cls, rows: tuple) -> "RingMatrix":
+        """Trusted constructor: rows are taken as a square tuple of tuples."""
+        x = cls.__new__(cls)
+        x.m, x.rows = len(rows), rows
+        return x
+
     @staticmethod
     def from_fn(m: int, fn) -> "RingMatrix":
         return RingMatrix([[fn(i, j) for j in range(m)] for i in range(m)])

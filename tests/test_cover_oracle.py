@@ -13,7 +13,12 @@ g_i is the transposition tau_i = (a_i b_i), and N_ij = <L_i, L_j>.  Then
             (L_{k-1}, L_k) -> (tau_{k-1}(L_k), L_{k-1});
       s_k': (tau_{k-1}, tau_k) -> (tau_k, tau_k tau_{k-1} tau_k),
             (L_{k-1}, L_k) -> (L_k, tau_k(L_{k-1}));
-      e_i^{+-1}: L_i -> -L_i.
+      e_i^{+-1}: L_i -> -L_i;
+- on a fan, chi^Q of Q = forward_Q(fan, N) is the sheet pairing carried
+  along the anchor: chi^Q(w) = <L_t, a.L_s> for w from z_s to z_t with
+  anchor word a, whose letters move L_s by their transpositions, the
+  rightmost first.  This checks forward_Q and chi_evaluate against the
+  cover with no rho_N in between.
 
 None of this shares code with the row kernel or the cocycle fold.
 """
@@ -22,15 +27,19 @@ import random
 
 from braidmono import (
     FreeWord,
+    GroupoidWord,
     OrientedZeroSphere,
     ParityClass,
     act_on_N,
+    anchor_word,
     character,
+    chi_evaluate,
     cover_character,
+    forward_Q,
     validate_N,
 )
 from braidmono.monodromy import _pairing
-from conftest import rand_braid
+from conftest import rand_braid, rand_fan, rand_groupoid_points
 
 P0 = ParityClass(0)
 
@@ -105,3 +114,24 @@ def test_braid_action_is_the_hurwitz_move():
         for t, L in zip(new_taus, new_cycles):
             (a, _), (c, _) = L.points
             assert t == transposition(len(t), a, c)
+
+
+def test_chi_Q_is_the_sheet_pairing_along_the_anchor():
+    """On random fans (m 1..6) with cover-realised N (2..6 sheets), chi^Q
+    of forward_Q(fan, N) on a random groupoid word, twists up to 10^400,
+    is <L_target, anchor.L_source>; a transposition's power moves L by its
+    parity."""
+    rng = random.Random(8300)
+    twists = (0, 1, -1, 2, -3, 10**6, 10**400 + 1, -(10**400))
+    for _ in range(300):
+        fan = rand_fan(rng, P0, 1, 6)
+        m = fan.cfg.m
+        taus, cycles = rand_cover(rng, rng.randint(2, 6), m)
+        Q = forward_Q(fan, matrix_of(cycles))
+        pts = rand_groupoid_points(rng, m, rng.randint(0, 4) if m > 1 else 0)
+        w = GroupoidWord(tuple(pts), tuple(rng.choice(twists) for _ in pts))
+        L = cycles[w.source - 1]
+        for i, e in reversed(anchor_word(fan, w).word.letters):
+            if e % 2:
+                L = moved(taus[i - 1], L)
+        assert chi_evaluate(Q, w) == _pairing(cycles[w.target - 1], L), str(w)

@@ -6,7 +6,9 @@ word cocycles built on them are not theirs to import.
 """
 
 import ast
+import importlib
 from pathlib import Path
+from types import ModuleType
 
 import braidmono
 
@@ -33,3 +35,19 @@ def test_integer_layers_do_not_import_ring_layers():
     for mod in INTEGER_LAYERS:
         bad = RING_LAYERS.intersection(imported_modules(src / f"{mod}.py"))
         assert not bad, f"{mod} imports {sorted(bad)}"
+
+
+def test_all_is_the_names_the_package_imports():
+    """__all__ spells out the names __init__ binds from the package's
+    modules, in import order: every public name the package holds that is
+    not a submodule, each the object its module defines."""
+    tree = ast.parse(Path(braidmono.__file__).read_text())
+    imports = [(node.module, a.name) for node in tree.body
+               if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert braidmono.__all__ == [name for _, name in imports]
+    for module, name in imports:
+        owner = importlib.import_module(f"braidmono.{module}")
+        assert getattr(braidmono, name) is getattr(owner, name), name
+    public = {name for name, x in vars(braidmono).items()
+              if not name.startswith("_") and not isinstance(x, ModuleType)}
+    assert public == set(braidmono.__all__)

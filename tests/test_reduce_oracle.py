@@ -13,15 +13,17 @@ import pytest
 
 from braidmono import (
     BraidWord,
+    LaurentElt,
     RingMatrix,
     WordError,
     abelian_reduce,
     braid_permutation,
     magnus_cocycle,
+    parse_braid,
     pl_cocycle,
     reduce_reps,
 )
-from braidmono.cocycles import _fold
+from braidmono.cocycles import _pl_fold
 from conftest import rand_braid
 
 REPS = ("burau", "tym", "tym_framed", "gassner", "linking")
@@ -87,7 +89,7 @@ def test_pure_braids(m):
 
 # --- the path-change fold against its closed-form letter values --------------
 #
-# cocycles._fold reads each path-change letter from words.pl_letter.  The
+# cocycles._pl_fold reads each path-change letter from words.pl_letter.  The
 # reference below states the same values by hand, as the 2x2 blocks of
 # sigma_k^{+-1} on strands a = k-1, b = k (terms (c, p, q) = c t_a^p t_b^q)
 #     s: [[0, 1], [t_a, 0]]      s': [[0, t_b^-1], [1, 0]]
@@ -141,12 +143,13 @@ def test_pl_fold_matches_letter_blocks(m):
               for f in (True, False) * 3]
     for b in words:
         for multivariate in (False, True):
-            cols = _fold(b, "pl", multivariate)
+            rows, exps = _pl_fold(b, multivariate)
+            # the monomial state: the rows of the columns a permutation, one
+            # exponent list of the ring's arity per column
+            assert sorted(rows) == list(range(m))
+            assert [len(v) for v in exps] == [m if multivariate else 1] * m
+            cols = [{(r, tuple(v)): 1} for r, v in zip(rows, exps)]
             assert cols == ref_pl_fold(b, multivariate), str(b)
-            # the monomial state: one term per column, coefficient 1, and
-            # the rows of the columns a permutation
-            assert all(len(col) == 1 and set(col.values()) == {1} for col in cols)
-            assert sorted(r for col in cols for r, _ in col) == list(range(m))
 
 
 def full_twist(m):
@@ -216,6 +219,36 @@ def test_pl_reps_are_monomial_matrices(m):
             assert not ids & {id(x) for row in again.rows for x in row}, (rep, str(b))
 
 
+# --- the one pass on 2^20-letter powers: closed forms -------------------------
+#
+# s_k^2 is pure and acts on strands k-1, k alone, so s_k^(2n) reduces to a
+# diagonal matrix: tym has t^n at (k-1, k-1) and (k, k), linking has
+# t_k^n at (k-1, k-1) and t_(k-1)^n at (k, k), and 1 sits elsewhere on the
+# diagonal.  Both come out of one pass over 2^20 letters.
+
+def diagonal(nvars, exps):
+    """The diagonal RingMatrix with t^v on its diagonal, v in exps."""
+    zero = LaurentElt.zero(nvars)
+    return RingMatrix([[LaurentElt(nvars, {v: 1}) if i == j else zero for j in range(len(exps))]
+                       for i, v in enumerate(exps)])
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_pl_reps_of_long_generator_powers(k):
+    m, a, b = 3, k - 2, k - 1  # strands k-1 and k, 0-based
+    for n in (2**19, -2**19):
+        w = parse_braid(f"s{k}^{2 * n}", m)
+        assert len(w.letters) == 2**20
+        tym = [(n,) if i in (a, b) else (0,) for i in range(m)]
+        assert reduce_reps(w, "tym") == diagonal(0, tym)
+
+        def t(v):  # the exponent vector of t_(v+1)^n
+            return tuple(n if u == v else 0 for u in range(m))
+
+        lk = [t(b) if i == a else t(a) if i == b else (0,) * m for i in range(m)]
+        assert reduce_reps(w, "linking") == diagonal(m, lk)
+
+
 # --- errors -----------------------------------------------------------------
 
 def test_error_messages():
@@ -233,3 +266,25 @@ def test_error_messages():
     assert str(exc.value) == "unknown representation 'nonsense'"
     # tym_framed takes framed and unframed words alike
     check(framed, "tym_framed")
+
+
+def test_epsilon_letters_are_refused_before_purity():
+    """The pass refuses an epsilon letter wherever it sits, before purity
+    is read off its permutation: an impure word whose only epsilon letter
+    is its last gets the epsilon message from tym and linking, and the
+    same word without it gets linking's purity message."""
+    rng = random.Random(6300)
+    for m in range(2, 7):
+        for _ in range(8):
+            w = rand_braid(rng, m, rng.randint(0, 30), framed=False)
+            if braid_permutation(w)[1]:
+                w = w * BraidWord(m, (("s", rng.randint(2, m), 1),))
+            last = BraidWord(m, (("e", rng.randint(1, m), rng.choice((1, -1))),))
+            for rep in ("tym", "linking"):
+                with pytest.raises(WordError) as exc:
+                    reduce_reps(w * last, rep)
+                assert str(exc.value) == f"{rep} requires a braid word without epsilon letters"
+            with pytest.raises(WordError) as exc:
+                reduce_reps(w, "linking")
+            assert str(exc.value) == "linking requires a pure braid word"
+            check(w * last, "tym_framed")

@@ -11,7 +11,7 @@ from braidmono import (
     parse_braid,
     parse_word,
 )
-from braidmono.words import MAX_BRAID_POWER
+from braidmono.words import MAX_BRAID_POWER, read_int
 
 pairs_st = st.lists(
     st.tuples(st.integers(1, 4), st.integers(-3, 3)), max_size=10
@@ -221,3 +221,11 @@ def test_braid_relations_act_equally(lhs, rhs, rng):
     for _ in range(20):
         w = rand_free(rng, 4, 6)
         assert braid_act_word(u, w) == braid_act_word(v, w)
+
+
+def test_read_int_is_int_less_underscores_and_non_ascii_digits():
+    for text, want in [("7", 7), (" -7 ", -7), ("+0", 0), ("10", 10)]:
+        assert read_int(text) == want
+    for bad in ("1_0", "_1", "1_", "1__0", "٣", "７", "0x10", "1.0", "", " "):
+        with pytest.raises(WordError):
+            read_int(bad)
