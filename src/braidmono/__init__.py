@@ -29,8 +29,7 @@ from .groupoid import (
     parse_groupoid_word, rel1_insert, rel2_rewrite, validate_Q,
 )
 from .reconstruct import (
-    AnchorWord, FanConfiguration, anchor_word, build_fan_config, forward_Q,
-    hop_words, reconstruct_N,
+    AnchorWord, anchor_word, build_fan_config, forward_Q, hop_words, reconstruct_N,
 )
 
 # the names imported above, in order; no submodule is exported
@@ -46,7 +45,7 @@ __all__ = [
     "RationalPoint", "angular_order", "chain", "extremal_points", "is_local_triangle",
     "mu_index", "validate_admissible", "GroupoidError", "GroupoidWord", "StraightLineData",
     "chi_evaluate", "parse_groupoid_word", "rel1_insert", "rel2_rewrite", "validate_Q",
-    "AnchorWord", "FanConfiguration", "anchor_word", "build_fan_config", "forward_Q",
-    "hop_words", "reconstruct_N",
+    "AnchorWord", "anchor_word", "build_fan_config", "forward_Q", "hop_words",
+    "reconstruct_N",
 ]
 __version__ = "1.0.0"

@@ -21,7 +21,7 @@ from .monodromy import (
     validate_N,
 )
 from .groupoid import chi_evaluate, parse_groupoid_word, validate_Q
-from .reconstruct import FanConfiguration, forward_Q, reconstruct_N
+from .reconstruct import forward_Q, reconstruct_N
 from . import serialize as ser
 
 MAX_STRANDS = 1024  # strands a word command accepts: it prints m x m matrices
@@ -95,22 +95,20 @@ def _cmd_character(args) -> dict:
 
 def _cmd_chi(args) -> int:
     config = ser.load_config(args.config)
-    if isinstance(config, FanConfiguration):
-        config = config.cfg
     Q = validate_Q(config, ser.load_int_matrix(args.q, config))
     return chi_evaluate(Q, parse_groupoid_word(args.word))
 
 
 def _cmd_forward(args) -> dict:
     fan = ser.require_fan(ser.load_config(args.config), args.config)
-    N = ser.load_int_matrix(args.matrix, fan.cfg)
-    return ser.int_matrix_json(fan.cfg.parity, forward_Q(fan, N).q)
+    N = ser.load_int_matrix(args.matrix, fan)
+    return ser.int_matrix_json(fan.parity, forward_Q(fan, N).q)
 
 
 def _cmd_reconstruct(args) -> dict:
     fan = ser.require_fan(ser.load_config(args.config), args.config)
-    Q = validate_Q(fan.cfg, ser.load_int_matrix(args.q, fan.cfg))
-    return ser.int_matrix_json(fan.cfg.parity, reconstruct_N(fan, Q).n)
+    Q = validate_Q(fan, ser.load_int_matrix(args.q, fan))
+    return ser.int_matrix_json(fan.parity, reconstruct_N(Q).n)
 
 
 def _cmd_cover_example(args) -> None:

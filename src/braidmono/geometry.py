@@ -7,7 +7,9 @@ chains around them.
 every orientation and tangent side, as bitmasks of points.  The predicates
 below only read those tables, so they are exact without any Fraction
 arithmetic.  Hull vertices come off the same table, memoised per active
-subset on the configuration.  Fan configurations hand their already-scaled
+subset on the configuration.  A fan is a configuration with a basepoint,
+from which every point is reached by a straight path and at which every
+tangent aims; `reconstruct.build_fan_config` hands its already-scaled
 coordinates to the same tabulation core, and `reconstruct` reads every
 anchor off the table: for clockwise fan indices i < j, the straight path
 s(z_i, z_j) crosses ray k beyond z_k exactly when k lies in left[j][i] and
@@ -78,7 +80,8 @@ def scale_to_int(coords):
 @dataclass(frozen=True)
 class AdmissibleConfig:
     """Distinct points, no three collinear, tangent at each point never a
-    positive multiple of the direction to another point.
+    positive multiple of the direction to another point.  basepoint is None
+    unless the configuration is a fan (module docstring).
 
     The remaining fields are derived by `validate_admissible` and take no
     part in equality.  Point sets are bitmasks, bit k standing for the
@@ -94,6 +97,7 @@ class AdmissibleConfig:
     points: tuple[RationalPoint, ...]
     tangents: tuple[tuple[Fraction, Fraction], ...]
     parity: ParityClass
+    basepoint: RationalPoint | None
     left: tuple = field(compare=False, repr=False)
     tangent_side: tuple = field(compare=False, repr=False)
     hulls: dict = field(default_factory=dict, compare=False, repr=False)
@@ -124,15 +128,15 @@ def validate_admissible(points, tangents, parity: ParityClass) -> AdmissibleConf
             raise GeometryError("tangent vectors must be nonzero")
     flat = scale_to_int([c for p in pts for c in (p.x, p.y)])[0]
     xy = list(zip(flat[::2], flat[1::2]))
-    return _tabulate(pts, tans, parity, xy, [scale_to_int(v)[0] for v in tans])
+    return _tabulate(pts, tans, parity, xy, None)
 
 
-def _tabulate(pts, tans, parity, xy, dirs) -> AdmissibleConfig:
+def _tabulate(pts, tans, parity, xy, basepoint) -> AdmissibleConfig:
     """The configuration (pts, tans) with its sign tables, computed from xy,
-    the points in integer coordinates at one common scale, and dirs, each
-    tangent as an integer direction; checks distinctness, collinearity and
-    aimed tangents in that order.  dirs is None for a fan in clockwise
-    order, whose tangent i has the points before i on its + side."""
+    the points in integer coordinates at one common scale; checks
+    distinctness, collinearity and aimed tangents in that order.  Given a
+    basepoint, (pts, tans) is a fan in clockwise order, whose tangent i has
+    the points before i on its + side."""
     m = len(xy)
     for i in range(m):
         for j in range(i + 1, m):
@@ -160,10 +164,10 @@ def _tabulate(pts, tans, parity, xy, dirs) -> AdmissibleConfig:
                     raise CollinearError((i, j, k))
     sides = [(0, 0)]
     for i in range(1, m + 1):
-        if dirs is None:
+        if basepoint is not None:
             sides.append(((1 << i) - 2, (1 << (m + 1)) - (1 << (i + 1))))
             continue
-        vx, vy = dirs[i - 1]
+        vx, vy = scale_to_int(tans[i - 1])[0]  # an integer direction
         xi, yi = xy[i]
         pos = neg = 0
         for j in range(1, m + 1):
@@ -182,6 +186,7 @@ def _tabulate(pts, tans, parity, xy, dirs) -> AdmissibleConfig:
         tuple(pts),
         tuple(tans),
         parity,
+        basepoint,
         tuple(map(tuple, left)),
         tuple(sides),
     )

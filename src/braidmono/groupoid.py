@@ -91,7 +91,8 @@ def parse_groupoid_word(text: str) -> GroupoidWord:
 
 @dataclass(frozen=True)
 class StraightLineData:
-    """Symmetric/skew straight-line intersection data over a config."""
+    """Symmetric/skew straight-line intersection data over a config; over a
+    fan, cfg keeps its basepoint, so reconstruct_N reads the fan off Q."""
 
     cfg: AdmissibleConfig
     q: tuple[tuple[int, ...], ...]

@@ -1,6 +1,7 @@
-"""Fan configurations (straight paths from a basepoint), the anchors of
-groupoid words in the free group, hop words, the forward map N -> Q, and
-the reconstruction Q -> N.
+"""Fans (admissible configurations with a basepoint, reached from it by
+straight paths), the anchors of groupoid words in the free group, hop
+words, the forward map N -> Q, and the reconstruction Q -> N, which reads
+its fan off Q.  Each refuses a configuration without a basepoint.
 
 Anchors come off the orientation table.  Index the fan clockwise and let
 i < j.  The segment s(z_i, z_j) stays inside the wedge between the rays to
@@ -44,28 +45,15 @@ from .monodromy import IntersectionMatrix, ParityClass, _times_rho, validate_N
 
 
 @dataclass(frozen=True)
-class FanConfiguration:
-    """Admissible configuration whose tangents aim at a basepoint z0 from
-    which every point is reached by a straight path; points are indexed by
-    clockwise angle at z0.
-
-    order[k] is the fan index (1-based) of the k-th input point.
-    """
-
-    cfg: AdmissibleConfig
-    z0: RationalPoint
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class AnchorWord:
     target: int
     source: int
     word: FreeWord
 
 
-def build_fan_config(points, z0, parity: ParityClass) -> FanConfiguration:
-    """Index points clockwise as seen from z0 and aim all tangents at z0.
+def build_fan_config(points, z0, parity: ParityClass) -> AdmissibleConfig:
+    """The fan with basepoint z0: points indexed clockwise as seen from z0,
+    every tangent aimed at z0.
 
     Requires: points pairwise distinct, no three collinear, no two collinear
     with z0, and z0 strictly outside the convex hull of the points (so the
@@ -108,31 +96,37 @@ def build_fan_config(points, z0, parity: ParityClass) -> FanConfiguration:
     if scale != 1:
         tans = [(_exact(Fraction(x, scale)), _exact(Fraction(y, scale))) for x, y in tans]
     try:
-        cfg = _tabulate([pts[t] for t in idx], tans, parity, [xy[t + 1] for t in idx], None)
+        return _tabulate([pts[t] for t in idx], tans, parity, [xy[t + 1] for t in idx], z0)
     except CollinearError as exc:  # name the points by input position, not fan position
         raise CollinearError(tuple(sorted(idx[k - 1] + 1 for k in exc.triple))) from None
-    return FanConfiguration(cfg, z0, tuple(c + 1 for c in ccw))
 
 
-def _anchor_columns(fan: FanConfiguration, i: int, j: int) -> list:
+def _fan(cfg: AdmissibleConfig) -> AdmissibleConfig:
+    """cfg, refused unless it is a fan."""
+    if cfg.basepoint is None:
+        raise GeometryError("needs a fan: the configuration has no basepoint")
+    return cfg
+
+
+def _anchor_columns(fan: AdmissibleConfig, i: int, j: int) -> list:
     """0-based [i, k_1, ..., k_r] for i < j: anchor s(z_{i+1}, z_{j+1}) is
     g_{i+1} g_{k_1+1} ... g_{k_r+1} (module docstring)."""
-    inside = fan.cfg.left[j + 1][i + 1]
+    inside = fan.left[j + 1][i + 1]
     return [i] + [k for k in range(i + 1, j) if inside >> (k + 1) & 1]
 
 
-def _anchor_segment(fan: FanConfiguration, i: int, j: int) -> FreeWord:
+def _anchor_segment(fan: AdmissibleConfig, i: int, j: int) -> FreeWord:
     """Anchor of the straight generator s(z_i, z_j), read off the
     orientation table."""
     if i > j:
         return _anchor_segment(fan, j, i).inverse()
     cols = _anchor_columns(fan, i - 1, j - 1)
-    return FreeWord(fan.cfg.m, tuple((k + 1, 1) for k in cols))
+    return FreeWord(fan.m, tuple((k + 1, 1) for k in cols))
 
 
-def anchor_word(fan: FanConfiguration, w: GroupoidWord) -> AnchorWord:
+def anchor_word(fan: AdmissibleConfig, w: GroupoidWord) -> AnchorWord:
     """Compile a groupoid word to its free-group anchor, functorially."""
-    m = fan.cfg.m
+    m = _fan(fan).m
     for z in w.points:
         if not 1 <= z <= m:
             raise GeometryError(f"point index {_excerpt(z)} out of range 1..{m}")
@@ -142,14 +136,14 @@ def anchor_word(fan: FanConfiguration, w: GroupoidWord) -> AnchorWord:
     return AnchorWord(w.target, w.source, FreeWord.make(m, pairs))
 
 
-def hop_words(fan: FanConfiguration) -> list:
+def hop_words(fan: AdmissibleConfig) -> list:
     """hop_k realizes c_k · c_{k+1}^{-1}: the straight generator between
     angular neighbours, whose anchor is g_k (no point lies between them),
     dressed with the twist cancelling it."""
-    return [GroupoidWord((k, k + 1), (-1, 0)) for k in range(1, fan.cfg.m)]
+    return [GroupoidWord((k, k + 1), (-1, 0)) for k in range(1, _fan(fan).m)]
 
 
-def _interval_push(fan: FanConfiguration, rows, i: int, j: int, c: int) -> int:
+def _interval_push(fan: AdmissibleConfig, rows, i: int, j: int, c: int) -> int:
     """Entry j (0-based, i < j) of row i of N, given by its rows, pushed
     through the anchor of s(z_{i+1}, z_{j+1}); c is the parity class's
     rho_coeff(1).
@@ -165,24 +159,23 @@ def _interval_push(fan: FanConfiguration, rows, i: int, j: int, c: int) -> int:
     return _times_rho(steps[0][2], steps)[-1]
 
 
-def forward_Q(fan: FanConfiguration, N: IntersectionMatrix) -> StraightLineData:
+def forward_Q(fan: AdmissibleConfig, N: IntersectionMatrix) -> StraightLineData:
     """Q(z_i, z_j) = (N rho_N(anchor s(z_i,z_j)))_{ij}; diagonal forced.
     Q_ij, i < j, ends the interval push of row i; Q_ji = sgn Q_ij."""
-    cfg = fan.cfg
-    if N.m != cfg.m:
-        raise GeometryError(f"matrix size {N.m} vs {cfg.m} points")
-    if N.parity != cfg.parity:
+    if N.m != _fan(fan).m:
+        raise GeometryError(f"matrix size {N.m} vs {fan.m} points")
+    if N.parity != fan.parity:
         raise GeometryError("parity class mismatch between N and the fan")
-    sgn, c = cfg.parity.sgn, cfg.parity.rho_coeff(1)
+    sgn, c = fan.parity.sgn, fan.parity.rho_coeff(1)
     rows = N.rows()  # its diagonal is the forced one
-    for j in range(1, cfg.m):
+    for j in range(1, fan.m):
         for i in range(j):
             q = _interval_push(fan, N.n, i, j, c)
             rows[i][j], rows[j][i] = q, sgn * q
-    return validate_Q(cfg, rows)
+    return validate_Q(fan, rows)
 
 
-def reconstruct_N(fan: FanConfiguration, Q: StraightLineData) -> IntersectionMatrix:
+def reconstruct_N(Q: StraightLineData) -> IntersectionMatrix:
     """Recover N from straight-line data by a triangular solve of forward_Q.
 
     Q_ij = -sgn N_ij + R_ij, where R_ij reads only the N_ab with
@@ -191,10 +184,8 @@ def reconstruct_N(fan: FanConfiguration, Q: StraightLineData) -> IntersectionMat
     up: push row i with N_ij held at 0 to get R_ij, and set
     N_ij = sgn (R_ij - Q_ij).
     """
-    cfg = fan.cfg
-    if Q.cfg is not cfg and Q.cfg != cfg:
-        raise GeometryError("Q is not indexed by this fan configuration")
-    m, parity, sgn, c = cfg.m, cfg.parity, cfg.parity.sgn, cfg.parity.rho_coeff(1)
+    fan = _fan(Q.cfg)
+    m, parity, sgn, c = fan.m, fan.parity, fan.parity.sgn, fan.parity.rho_coeff(1)
     rows = [[parity.diag if a == b else 0 for b in range(m)] for a in range(m)]
     for j in range(1, m):  # 0-based from here on
         for i in range(j - 1, -1, -1):

@@ -18,7 +18,7 @@ from decimal import Decimal
 from .geometry import AdmissibleConfig, GeometryError, RationalPoint, _exact, validate_admissible
 from .matrices import MonomialGammaMatrix, RingMatrix
 from .monodromy import IntersectionMatrix, ParityClass, validate_N
-from .reconstruct import FanConfiguration, build_fan_config
+from .reconstruct import build_fan_config
 from .words import _excerpt, read_int, read_rational
 
 
@@ -135,9 +135,9 @@ def parse_parity(obj: dict) -> ParityClass:
 def load_config(obj):
     """Parse a configuration object, or the file at the path obj.
 
-    With "basepoint" -> FanConfiguration (tangents are then forced toward
-    the basepoint and must not also be given); with "tangents" ->
-    AdmissibleConfig.  One of the two is required.
+    With "basepoint" -> a fan, by build_fan_config (tangents are then forced
+    toward the basepoint and must not also be given); with "tangents" -> a
+    configuration with basepoint None.  One of the two is required.
     """
     return _load(obj, "config", _config)
 
@@ -158,8 +158,8 @@ def _config(obj: dict):
     raise SerializeError('config needs a "basepoint" or "tangents" field')
 
 
-def require_fan(config, source: str = "config") -> FanConfiguration:
-    if not isinstance(config, FanConfiguration):
+def require_fan(config: AdmissibleConfig, source: str = "config") -> AdmissibleConfig:
+    if config.basepoint is None:
         raise SerializeError(f'{source}: this command needs a config with a "basepoint"')
     return config
 

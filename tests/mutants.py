@@ -81,6 +81,26 @@ MUTANTS = [
      'a sign, ASCII digits."""\n    if text.isascii() and "_" not in text:',
      'a sign, ASCII digits."""\n    if text.isascii():',
      ["tests/test_words.py::test_read_int_is_int_less_underscores_and_non_ascii_digits"]),
+    ("reconstruct._fan: fan check dropped", "reconstruct.py",
+     "if cfg.basepoint is None:",
+     "if False:",
+     ["tests/test_reconstruct.py::test_fan_functions_refuse_tangents"]),
+    ("monodromy._steps: coefficient negated", "monodromy.py",
+     "out.append((i - 1, c, rows[i - 1]))",
+     "out.append((i - 1, -c, rows[i - 1]))",
+     ["tests/test_monodromy_oracle.py"]),
+    ("validate_N: parity law for the wrong sign", "monodromy.py",
+     "if sgn > 0 else",
+     "if sgn < 0 else",
+     ["tests/test_monodromy.py"]),
+    ("_tabulate: fan tangent sides swapped", "geometry.py",
+     "sides.append(((1 << i) - 2, (1 << (m + 1)) - (1 << (i + 1))))",
+     "sides.append(((1 << (m + 1)) - (1 << (i + 1)), (1 << i) - 2))",
+     ["tests/test_ingest_oracle.py::test_fan_matches_fraction_construction"]),
+    ("Magnus sigma block: x_ba on the wrong generator", "cocycles.py",
+     "((1, 1, 0),)",
+     "((1, 0, 1),)",
+     ["tests/test_reduce_oracle.py"]),
 ]
 
 

@@ -242,8 +242,7 @@ def test_criterion_07_chi_well_definedness():
         rewrites_done = 0
         for trial in range(100):
             p = ParityClass(rng.randrange(4))
-            fan = rand_fan(rng, p, 3, 6)
-            cfg = fan.cfg
+            cfg = rand_fan(rng, p, 3, 6)
             m = cfg.m
             rows = [[0] * m for _ in range(m)]
             for i in range(m):
@@ -274,8 +273,8 @@ def test_criterion_08_reconstruction_roundtrip():
             t0 = time.monotonic()
             p = ParityClass(rng.randrange(4))
             fan = rand_fan(rng, p, 1, 6)
-            N = rand_N(rng, p, fan.cfg.m, bound=5)
-            assert reconstruct_N(fan, forward_Q(fan, N)).n == N.n
+            N = rand_N(rng, p, fan.m, bound=5)
+            assert reconstruct_N(forward_Q(fan, N)).n == N.n
             assert time.monotonic() - t0 < 10.0, f"instance {trial} too slow"
 
 
@@ -285,16 +284,15 @@ def test_criterion_09_anchor_consistency():
         for trial in range(5):
             p = ParityClass(rng.randrange(4))
             fan = rand_fan(rng, p, 3, 6)
-            cfg = fan.cfg
-            m = cfg.m
+            m = fan.m
             for i, j in itertools.permutations(range(1, m + 1), 2):
                 assert (_anchor_segment(fan, i, j) * _anchor_segment(fan, j, i)).is_identity()
             for a, b, c in itertools.permutations(range(1, m + 1), 3):
-                if not is_local_triangle(cfg, a, b, c):
+                if not is_local_triangle(fan, a, b, c):
                     continue
-                w = _anchor_segment(fan, a, b) * FreeWord.gen(m, b, mu_index(cfg, a, b, c))
-                w = w * _anchor_segment(fan, b, c) * FreeWord.gen(m, c, mu_index(cfg, b, c, a))
-                w = w * _anchor_segment(fan, c, a) * FreeWord.gen(m, a, mu_index(cfg, c, a, b))
+                w = _anchor_segment(fan, a, b) * FreeWord.gen(m, b, mu_index(fan, a, b, c))
+                w = w * _anchor_segment(fan, b, c) * FreeWord.gen(m, c, mu_index(fan, b, c, a))
+                w = w * _anchor_segment(fan, c, a) * FreeWord.gen(m, a, mu_index(fan, c, a, b))
                 assert w.is_identity()
             N = rand_N(rng, p, m)
             Q = forward_Q(fan, N)

@@ -125,7 +125,7 @@ def test_chi_Q_is_the_sheet_pairing_along_the_anchor():
     twists = (0, 1, -1, 2, -3, 10**6, 10**400 + 1, -(10**400))
     for _ in range(300):
         fan = rand_fan(rng, P0, 1, 6)
-        m = fan.cfg.m
+        m = fan.m
         taus, cycles = rand_cover(rng, rng.randint(2, 6), m)
         Q = forward_Q(fan, matrix_of(cycles))
         pts = rand_groupoid_points(rng, m, rng.randint(0, 4) if m > 1 else 0)

@@ -82,16 +82,14 @@ def test_mu_antisymmetry_random(rng):
     import itertools
 
     for _ in range(20):
-        fan = rand_fan(rng, P, 3, 6)
-        cfg = fan.cfg
+        cfg = rand_fan(rng, P, 3, 6)
         for a, w, b in itertools.permutations(range(1, cfg.m + 1), 3):
             assert mu_index(cfg, a, w, b) == -mu_index(cfg, b, w, a)
 
 
 def test_mu_additivity_at_extremal(rng):
     for _ in range(30):
-        fan = rand_fan(rng, P, 4, 6)
-        cfg = fan.cfg
+        cfg = rand_fan(rng, P, 4, 6)
         for e in extremal_points(cfg):
             order = angular_order(cfg, e)
             for i in range(len(order) - 2):
@@ -133,8 +131,7 @@ def test_angular_order_and_chain():
 
 def test_chain_triples_are_local_triangles(rng):
     for _ in range(20):
-        fan = rand_fan(rng, P, 4, 6)
-        cfg = fan.cfg
+        cfg = rand_fan(rng, P, 4, 6)
         for e in extremal_points(cfg):
             order = angular_order(cfg, e)
             for a, b in zip(order, order[1:]):
@@ -152,8 +149,7 @@ def test_predicates_invariant_under_rescaling(rng):
     import itertools
 
     for _ in range(10):
-        fan = rand_fan(rng, P, 3, 5)
-        cfg = fan.cfg
+        cfg = rand_fan(rng, P, 3, 5)
         s = Fraction(rng.randint(1, 7), rng.randint(1, 7))
         dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
         pts2 = [(s * p.x + dx, s * p.y + dy) for p in cfg.points]

@@ -28,7 +28,7 @@ from braidmono import (
     reconstruct_N,
     validate_admissible,
 )
-from braidmono.reconstruct import FanConfiguration, _anchor_segment
+from braidmono.reconstruct import _anchor_segment
 from braidmono.serialize import load_config
 from conftest import all_parities, rand_N
 
@@ -103,14 +103,14 @@ def ref_angular_order(cfg, e, indices):
 
 
 def ref_anchor_segment(fan, i, j):
-    P, z0 = fan.cfg.points, fan.z0
+    P, z0 = fan.points, fan.basepoint
     zi, zj = P[i - 1], P[j - 1]
     letters = []
     if cross(sub(z0, zj), sub(zi, zj)) > 0:
         letters.append((j, -1))
     d = sub(zi, zj)
     hits = []
-    for k in range(1, fan.cfg.m + 1):
+    for k in range(1, fan.m + 1):
         if k in (i, j):
             continue
         r = sub(P[k - 1], z0)
@@ -126,9 +126,9 @@ def ref_anchor_segment(fan, i, j):
     letters.extend((k, e) for _, k, e in hits)
     if cross(sub(zj, zi), sub(z0, zi)) < 0:
         letters.append((i, 1))
-    out = FreeWord.identity(fan.cfg.m)
+    out = FreeWord.identity(fan.m)
     for k, e in letters:
-        out = FreeWord.gen(fan.cfg.m, k, e) * out
+        out = FreeWord.gen(fan.m, k, e) * out
     return out
 
 
@@ -201,8 +201,7 @@ def configs(seed, count, m_lo=3, m_hi=7):
         if kind == 0:
             yield rand_admissible(rng, m)
         else:
-            config = rand_loaded(rng, m, basepoint=kind == 1)
-            yield config.cfg if isinstance(config, FanConfiguration) else config
+            yield rand_loaded(rng, m, basepoint=kind == 1)
 
 
 # --- agreement -------------------------------------------------------------
@@ -273,7 +272,7 @@ def test_roundtrip_over_mixed_denominators(parity):
     for m in range(2, 9):
         fan = rand_fan(rng, parity, m)
         N = rand_N(rng, parity, m)
-        assert reconstruct_N(fan, forward_Q(fan, N)) == N
+        assert reconstruct_N(forward_Q(fan, N)) == N
 
 
 def test_hulls_memoised_per_subset():

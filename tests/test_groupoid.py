@@ -24,7 +24,7 @@ from conftest import rand_N, rand_fan, rand_groupoid_points
 
 def rand_Q(rng, fan):
     """Geometrically consistent random straight-line data (via a random N)."""
-    return forward_Q(fan, rand_N(rng, fan.cfg.parity, fan.cfg.m, bound=4))
+    return forward_Q(fan, rand_N(rng, fan.parity, fan.m, bound=4))
 
 
 def rand_word(rng, m, hops, bound=2):
@@ -71,24 +71,24 @@ def test_parse_groupoid_word():
 
 def test_validate_Q(rng):
     fan2 = rand_fan(rng, ParityClass(1), 2, 2)
-    validate_Q(fan2.cfg, [[0, 3], [-3, 0]])
+    validate_Q(fan2, [[0, 3], [-3, 0]])
     with pytest.raises(GroupoidError):
-        validate_Q(fan2.cfg, [[0, 3], [3, 0]])
+        validate_Q(fan2, [[0, 3], [3, 0]])
     fan0 = rand_fan(rng, ParityClass(0), 2, 2)
     with pytest.raises(GroupoidError):
-        validate_Q(fan0.cfg, [[0, 1], [1, 0]])  # diagonal must be 2
+        validate_Q(fan0, [[0, 1], [1, 0]])  # diagonal must be 2
     fan2b = rand_fan(rng, ParityClass(2), 2, 2)
-    validate_Q(fan2b.cfg, [[-2, 1], [1, -2]])
+    validate_Q(fan2b, [[-2, 1], [1, -2]])
 
 
 def test_validate_Q_takes_a_checked_matrix(rng):
     fan2 = rand_fan(rng, ParityClass(1), 2, 2)
     N = validate_N(ParityClass(1), [[0, 3], [-3, 0]])
-    assert validate_Q(fan2.cfg, N).q == N.n
+    assert validate_Q(fan2, N).q == N.n
     with pytest.raises(GroupoidError):
-        validate_Q(fan2.cfg, validate_N(ParityClass(3), [[0, 3], [-3, 0]]))
+        validate_Q(fan2, validate_N(ParityClass(3), [[0, 3], [-3, 0]]))
     with pytest.raises(GroupoidError):
-        validate_Q(fan2.cfg, validate_N(ParityClass(1), [[0]]))
+        validate_Q(fan2, validate_N(ParityClass(1), [[0]]))
 
 
 # --- evaluator base cases ---------------------------------------------------
@@ -97,7 +97,7 @@ def test_chi_on_generators(rng):
     for k in range(4):
         fan = rand_fan(rng, ParityClass(k), 3, 5)
         Q = rand_Q(rng, fan)
-        m = fan.cfg.m
+        m = fan.m
         for i in range(1, m + 1):
             for j in range(1, m + 1):
                 if i != j:
@@ -122,7 +122,7 @@ def test_chi_two_point_twist_fixture(rng):
     # chi = Q(12)*Q(21) - 0 = -4 by a single reflection split
     p = ParityClass(1)
     fan = rand_fan(rng, p, 2, 2)
-    Q = validate_Q(fan.cfg, [[0, 2], [-2, 0]])
+    Q = validate_Q(fan, [[0, 2], [-2, 0]])
     w = GroupoidWord((1, 2, 1), (0, 1, 0))
     assert chi_evaluate(Q, w) == -4
 
@@ -133,7 +133,7 @@ def test_chi_inverse_law(rng):
         fan = rand_fan(rng, p, 3, 5)
         Q = rand_Q(rng, fan)
         for _ in range(15):
-            w = rand_word(rng, fan.cfg.m, rng.randint(1, 4))
+            w = rand_word(rng, fan.m, rng.randint(1, 4))
             assert chi_evaluate(Q, w.invert()) == p.sgn * chi_evaluate(Q, w)
 
 
@@ -143,7 +143,7 @@ def test_chi_boundary_twist_law(rng):
         fan = rand_fan(rng, p, 3, 5)
         Q = rand_Q(rng, fan)
         for _ in range(15):
-            w = rand_word(rng, fan.cfg.m, rng.randint(1, 4))
+            w = rand_word(rng, fan.m, rng.randint(1, 4))
             wt = GroupoidWord(w.points, (w.exps[0] + 1,) + w.exps[1:])
             assert chi_evaluate(Q, wt) == (-1) ** (k + 1) * chi_evaluate(Q, w)
 
@@ -153,7 +153,7 @@ def test_chi_reflection_laws_as_output_identities(rng):
     for k in range(4):
         p = ParityClass(k)
         fan = rand_fan(rng, p, 3, 6)
-        m = fan.cfg.m
+        m = fan.m
         Q = rand_Q(rng, fan)
         for _ in range(20):
             a = rand_word(rng, m, rng.randint(1, 3))
@@ -186,8 +186,7 @@ def test_rel1_insert_shape():
 
 
 def test_rel2_rewrite_requires_local_triangle(rng):
-    fan = rand_fan(rng, ParityClass(1), 4, 6)
-    cfg = fan.cfg
+    cfg = rand_fan(rng, ParityClass(1), 4, 6)
     w = GroupoidWord((1, 2), (0, 0))
     for mid in range(3, cfg.m + 1):
         if not is_local_triangle(cfg, 1, mid, 2):
@@ -217,10 +216,10 @@ def test_chi_relation_invariance(rng):
     for trial in range(12):
         fan = rand_fan(rng, ParityClass(rng.randrange(4)), 3, 6)
         Q = rand_Q(rng, fan)
-        w = rand_word(rng, fan.cfg.m, rng.randint(1, 4), bound=1)
+        w = rand_word(rng, fan.m, rng.randint(1, 4), bound=1)
         base = chi_evaluate(Q, w)
         for _ in range(15):
-            w2 = random_rewrites(rng, fan.cfg, w, rng.randint(1, 6))
+            w2 = random_rewrites(rng, fan, w, rng.randint(1, 6))
             assert chi_evaluate(Q, w2) == base
 
 
@@ -228,7 +227,7 @@ def test_chi_order_independence(rng):
     for trial in range(10):
         fan = rand_fan(rng, ParityClass(rng.randrange(4)), 4, 6)
         Q = rand_Q(rng, fan)
-        w = rand_word(rng, fan.cfg.m, rng.randint(2, 5), bound=1)
+        w = rand_word(rng, fan.m, rng.randint(2, 5), bound=1)
         base = chi_evaluate(Q, w)
         for seed in range(8):
             assert chi_evaluate(Q, w, rng=random.Random(seed)) == base
@@ -237,7 +236,7 @@ def test_chi_order_independence(rng):
 def test_step_budget_guard(rng):
     fan = rand_fan(rng, ParityClass(1), 4, 6)
     Q = rand_Q(rng, fan)
-    w = rand_word(rng, fan.cfg.m, 5, bound=3)
+    w = rand_word(rng, fan.m, 5, bound=3)
     with pytest.raises(GroupoidError):
         chi_evaluate(Q, w, max_steps=3)
 
@@ -256,7 +255,7 @@ def test_chi_long_walks_and_huge_twists_match_character(rng, w):
     stack: a 1200-point walk and a 4000-digit twist are answered, and equal
     the dense character of N on the word's anchor."""
     fan = build_fan_config([(-2, 4), (0, 5), (2, 4)], (0, -1), ParityClass(1))
-    N = rand_N(rng, fan.cfg.parity, fan.cfg.m, bound=4)
+    N = rand_N(rng, fan.parity, fan.m, bound=4)
     want = character(N, anchor_word(fan, w).word)[w.target - 1][w.source - 1]
     assert chi_evaluate(forward_Q(fan, N), w) == want
 

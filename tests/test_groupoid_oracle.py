@@ -164,7 +164,7 @@ def cases(seed, count):
     for t in range(count):
         parity = ParityClass(t % 4)
         m = rng.randint(2, 6)
-        cfg = rand_fan(rng, parity, m, m).cfg if t % 2 else rand_tangent_config(rng, parity, m)
+        cfg = rand_fan(rng, parity, m, m) if t % 2 else rand_tangent_config(rng, parity, m)
         data = validate_Q(cfg, rand_N(rng, parity, m, bound=3))
         pts = rand_groupoid_points(rng, m, rng.randint(1, 5))
         exps = [rng.randint(-2, 2) for _ in pts]
@@ -228,9 +228,9 @@ def test_chi_matches_dense_character_at_huge_twists(parity):
     twists = [s * t for t in (3, 10**6, 10**400) for s in (1, -1)]
     for _ in range(12):
         fan = rand_fan(rng, ParityClass(parity), 3, 6)
-        N = rand_N(rng, fan.cfg.parity, fan.cfg.m, bound=3)
+        N = rand_N(rng, fan.parity, fan.m, bound=3)
         Q = forward_Q(fan, N)
-        pts = rand_groupoid_points(rng, fan.cfg.m, rng.randint(2, 4))
+        pts = rand_groupoid_points(rng, fan.m, rng.randint(2, 4))
         exps = [rng.randint(-2, 2)] + [rng.choice(twists) for _ in pts[1:-1]] + [rng.randint(-2, 2)]
         w = GroupoidWord(tuple(pts), tuple(exps))
         want = character(N, anchor_word(fan, w).word)[w.target - 1][w.source - 1]
@@ -245,9 +245,9 @@ def test_zero_weight_split_evaluates_no_side_words(parity):
     by the four points A0 and B would cost, so a twist one unit further
     (S = +-1) exhausts it."""
     fan = build_fan_config([(-2, 4), (0, 5), (2, 4)], (0, -1), ParityClass(parity))
-    N = rand_N(random.Random(9700 + parity), fan.cfg.parity, 3, bound=4)
+    N = rand_N(random.Random(9700 + parity), fan.parity, 3, bound=4)
     Q = forward_Q(fan, N)
-    target = mu_index(fan.cfg, 1, 2, 3)
+    target = mu_index(fan, 1, 2, 3)
     at_target = GroupoidWord((1, 2, 3), (0, target, 0))
     want, used = steps_used(Q, at_target)
     budget = 3 + used + 1
@@ -281,7 +281,7 @@ def test_rel2_twists_match_mu_indices():
     for t in range(60):
         parity = ParityClass(t % 4)
         m = rng.randint(3, 6)
-        cfg = rand_fan(rng, parity, m, m).cfg if t % 2 else rand_tangent_config(rng, parity, m)
+        cfg = rand_fan(rng, parity, m, m) if t % 2 else rand_tangent_config(rng, parity, m)
         z, zp = rng.sample(range(1, m + 1), 2)
         for mid in range(1, m + 1):
             if mid in (z, zp) or not is_local_triangle(cfg, z, mid, zp):

@@ -4,8 +4,8 @@ load_config keeps an integral coordinate as an int, makes a Fraction only of
 a non-integral one, and builds fan tangents from integer directions.  The
 reference below is the earlier construction: every coordinate a Fraction,
 each fan tangent the Fraction difference z0 - p, and every sign a Fraction
-cross product.  The two must agree at == on points, tangents, order and both
-sign tables, and the CLI must print the same bytes however the same numbers
+cross product.  The two must agree at == on points, tangents, basepoint and
+both sign tables, and the CLI must print the same bytes however the same numbers
 are written.
 """
 
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidmono import AdmissibleConfig, FanConfiguration, GeometryError, ParityClass
+from braidmono import AdmissibleConfig, GeometryError, ParityClass
 from braidmono.cli import main
 from braidmono.geometry import RationalPoint
 from braidmono.reconstruct import forward_Q
@@ -65,15 +65,15 @@ def ref_tables(pts, tans):
 
 
 def ref_fan(points, z0):
-    """(points, tangents, order, left, tangent_side, z0) of the fan, the
-    earlier way: Fraction coordinates, clockwise order by the number of
+    """(points, tangents, left, tangent_side, z0) of the fan, the earlier
+    way: Fraction coordinates, clockwise order by the number of
     points counterclockwise of each as seen from z0, tangents z0 - p."""
     P = [(Fraction(x), Fraction(y)) for x, y in points]
     Z = (Fraction(z0[0]), Fraction(z0[1]))
     ccw = [sum(cross(sub(p, Z), sub(q, Z)) > 0 for q in P) for p in P]
     pts = [P[t] for t in sorted(range(len(P)), key=ccw.__getitem__)]
     tans = [sub(Z, p) for p in pts]
-    return (pts, tans, tuple(c + 1 for c in ccw), *ref_tables(pts, tans), Z)
+    return (pts, tans, *ref_tables(pts, tans), Z)
 
 
 # --- random fans, written several ways ---------------------------------------------
@@ -140,15 +140,13 @@ def test_fan_matches_fraction_construction(style):
         m, parity = 1 + t % 8, ParityClass(t % 4)
         pts, z0 = rand_fan_input(rng, m, style)
         fan = load_config(json.loads(json.dumps(as_json(rng, parity, pts, z0, style))))
-        want_pts, want_tans, order, left, sides, Z = ref_fan(pts, z0)
-        cfg = fan.cfg
-        assert [(p.x, p.y) for p in cfg.points] == want_pts
-        assert list(cfg.tangents) == want_tans
-        assert fan.order == order
-        assert (cfg.left, cfg.tangent_side) == (left, sides)
-        assert (fan.z0.x, fan.z0.y) == Z
-        assert_exact_types([c for p in (*cfg.points, fan.z0) for c in (p.x, p.y)])
-        assert_exact_types([c for v in cfg.tangents for c in v])
+        want_pts, want_tans, left, sides, Z = ref_fan(pts, z0)
+        assert [(p.x, p.y) for p in fan.points] == want_pts
+        assert list(fan.tangents) == want_tans
+        assert (fan.left, fan.tangent_side) == (left, sides)
+        assert (fan.basepoint.x, fan.basepoint.y) == Z
+        assert_exact_types([c for p in (*fan.points, fan.basepoint) for c in (p.x, p.y)])
+        assert_exact_types([c for v in fan.tangents for c in v])
 
 
 @pytest.mark.parametrize("style", STYLES)
@@ -192,13 +190,10 @@ def test_cli_output_is_byte_identical(tmp_path, parity):
     for m in range(1, 9):
         pts, z0 = rand_fan_input(rng, m, "int")
         N = rand_N(rng, parity, m)
-        want_pts, want_tans, order, left, sides, Z = ref_fan(pts, z0)
-        ref = FanConfiguration(
-            AdmissibleConfig(
-                tuple(RationalPoint(*p) for p in want_pts), tuple(want_tans), parity, left, sides
-            ),
-            RationalPoint(*Z),
-            order,
+        want_pts, want_tans, left, sides, Z = ref_fan(pts, z0)
+        ref = AdmissibleConfig(
+            tuple(RationalPoint(*p) for p in want_pts), tuple(want_tans), parity,
+            RationalPoint(*Z), left, sides,
         )
         Q = forward_Q(ref, N)
         want_q = json.dumps({"n_class": parity.n_mod_4, "matrix": [list(r) for r in Q.q]}) + "\n"
@@ -230,8 +225,7 @@ def test_integer_config_builds_no_fraction(tmp_path, monkeypatch):
         f.write_text(json.dumps({"n_class": 3, "points": points, **extra}))
         config = load_config(str(f))
         assert made == []
-        cfg = config.cfg if isinstance(config, FanConfiguration) else config
-        assert all(type(c) is int for p in cfg.points for c in (p.x, p.y))
+        assert all(type(c) is int for p in config.points for c in (p.x, p.y))
     # the counter does see the Fractions a "p/q" coordinate needs
     f.write_text(json.dumps({"n_class": 3, "points": [["1/2", 4]], "basepoint": [0, -1]}))
     load_config(str(f))

@@ -168,10 +168,10 @@ def test_forward_Q_matches_reference(parity):
     rng = random.Random(19 + parity.n_mod_4)
     for _ in range(6):
         fan = rand_fan(rng, parity, 2, 6)
-        N = rand_N(rng, parity, fan.cfg.m)
+        N = rand_N(rng, parity, fan.m)
         Q = forward_Q(fan, N)
-        for i in range(1, fan.cfg.m + 1):
-            for j in range(1, fan.cfg.m + 1):
+        for i in range(1, fan.m + 1):
+            for j in range(1, fan.m + 1):
                 want = (
                     parity.diag if i == j
                     else ref_character(N, _anchor_segment(fan, i, j))[i - 1][j - 1]

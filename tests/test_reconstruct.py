@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from braidmono import (
     GeometryError,
     GroupoidWord,
     ParityClass,
+    RationalPoint,
     anchor_word,
     build_fan_config,
     character,
@@ -21,6 +23,7 @@ from braidmono import (
     validate_admissible,
 )
 from braidmono.reconstruct import _anchor_segment
+from braidmono.serialize import load_config
 from conftest import rand_N, rand_fan, rand_groupoid_points
 
 P1 = ParityClass(1)
@@ -31,10 +34,9 @@ P1 = ParityClass(1)
 def test_fan_order_left_to_right():
     fan = build_fan_config([(2, 4), (-2, 4), (0, 5)], (0, -10), P1)
     # clockwise from z0 below = left to right: input points get indices 3, 1, 2
-    assert fan.order == (3, 1, 2)
-    assert [(p.x, p.y) for p in fan.cfg.points] == [(-2, 4), (0, 5), (2, 4)]
+    assert [(p.x, p.y) for p in fan.points] == [(-2, 4), (0, 5), (2, 4)]
     # tangents aim at the basepoint
-    assert fan.cfg.tangents[0] == (2, -14)
+    assert fan.tangents[0] == (2, -14)
 
 
 def test_fan_rejects_collinear_with_basepoint():
@@ -49,8 +51,8 @@ def test_fan_rejects_basepoint_inside_hull():
 
 def test_fan_single_point():
     fan = build_fan_config([(3, 4)], (0, -1), P1)
-    assert fan.order == (1,)
-    assert fan.cfg.tangents[0] == (-3, -5)
+    assert fan.basepoint == RationalPoint(0, -1)
+    assert fan.tangents[0] == (-3, -5)
 
 
 @pytest.mark.parametrize("pts, msg", [
@@ -75,7 +77,7 @@ def test_fan_errors_name_input_points(pts, msg):
 def test_anchor_of_twist_is_generator(rng):
     for _ in range(10):
         fan = rand_fan(rng, P1, 2, 6)
-        m = fan.cfg.m
+        m = fan.m
         for i in range(1, m + 1):
             a = anchor_word(fan, GroupoidWord((i,), (1,)))
             assert a.word == FreeWord.gen(m, i)
@@ -95,7 +97,7 @@ def test_anchor_refuses_a_point_out_of_range():
 def test_anchor_functorial(rng):
     for _ in range(15):
         fan = rand_fan(rng, P1, 3, 6)
-        m = fan.cfg.m
+        m = fan.m
         pts = rand_groupoid_points(rng, m, rng.randint(1, 4))
         u = GroupoidWord(tuple(pts), tuple(rng.randint(-2, 2) for _ in pts))
         pts2 = [u.source] + rand_groupoid_points(rng, m, rng.randint(1, 3))[1:]
@@ -112,7 +114,7 @@ def test_anchor_functorial(rng):
 def test_anchor_rel1_relators_vanish(rng):
     for _ in range(10):
         fan = rand_fan(rng, P1, 2, 6)
-        m = fan.cfg.m
+        m = fan.m
         for i, j in itertools.permutations(range(1, m + 1), 2):
             w = _anchor_segment(fan, i, j) * _anchor_segment(fan, j, i)
             assert w.is_identity(), (i, j)
@@ -122,14 +124,13 @@ def test_anchor_rel2_relators_vanish(rng):
     total = 0
     for _ in range(10):
         fan = rand_fan(rng, P1, 3, 6)
-        cfg = fan.cfg
-        m = cfg.m
+        m = fan.m
         for a, b, c in itertools.permutations(range(1, m + 1), 3):
-            if not is_local_triangle(cfg, a, b, c):
+            if not is_local_triangle(fan, a, b, c):
                 continue
-            w = _anchor_segment(fan, a, b) * FreeWord.gen(m, b, mu_index(cfg, a, b, c))
-            w = w * _anchor_segment(fan, b, c) * FreeWord.gen(m, c, mu_index(cfg, b, c, a))
-            w = w * _anchor_segment(fan, c, a) * FreeWord.gen(m, a, mu_index(cfg, c, a, b))
+            w = _anchor_segment(fan, a, b) * FreeWord.gen(m, b, mu_index(fan, a, b, c))
+            w = w * _anchor_segment(fan, b, c) * FreeWord.gen(m, c, mu_index(fan, b, c, a))
+            w = w * _anchor_segment(fan, c, a) * FreeWord.gen(m, a, mu_index(fan, c, a, b))
             assert w.is_identity(), (a, b, c)
             total += 1
     assert total > 50
@@ -138,7 +139,7 @@ def test_anchor_rel2_relators_vanish(rng):
 def test_neighbour_hops_two_generator_form(rng):
     for _ in range(15):
         fan = rand_fan(rng, P1, 2, 6)
-        m = fan.cfg.m
+        m = fan.m
         hops = hop_words(fan)
         assert len(hops) == m - 1
         for k, hop in enumerate(hops, start=1):
@@ -152,7 +153,7 @@ def test_hop_telescoping(rng):
     word = hops[0]
     for h in hops[1:]:
         word = word.compose(h)
-    assert word.target == 1 and word.source == fan.cfg.m
+    assert word.target == 1 and word.source == fan.m
 
 
 # --- forward and reconstruction ---------------------------------------------
@@ -170,8 +171,8 @@ def test_forward_symmetry(rng):
     for k in range(4):
         p = ParityClass(k)
         fan = rand_fan(rng, p, 2, 6)
-        Q = forward_Q(fan, rand_N(rng, p, fan.cfg.m))
-        m = fan.cfg.m
+        Q = forward_Q(fan, rand_N(rng, p, fan.m))
+        m = fan.m
         for i in range(m):
             for j in range(m):
                 assert Q.q[i][j] == p.sgn * Q.q[j][i]
@@ -189,15 +190,15 @@ def test_roundtrip(rng):
     for trial in range(40):
         p = ParityClass(rng.randrange(4))
         fan = rand_fan(rng, p, 1, 6)
-        N = rand_N(rng, p, fan.cfg.m)
-        assert reconstruct_N(fan, forward_Q(fan, N)).n == N.n
+        N = rand_N(rng, p, fan.m)
+        assert reconstruct_N(forward_Q(fan, N)).n == N.n
 
 
 def test_chi_character_consistency(rng):
     for trial in range(12):
         p = ParityClass(rng.randrange(4))
         fan = rand_fan(rng, p, 2, 6)
-        m = fan.cfg.m
+        m = fan.m
         N = rand_N(rng, p, m)
         Q = forward_Q(fan, N)
         for _ in range(15):
@@ -210,10 +211,35 @@ def test_chi_character_consistency(rng):
             )
 
 
-def test_reconstruct_rejects_foreign_Q(rng):
-    fan = rand_fan(rng, P1, 3, 3)
-    other = rand_fan(rng, P1, 3, 3)
-    Q = forward_Q(other, rand_N(rng, P1, 3))
-    if other.cfg != fan.cfg:
-        with pytest.raises(GeometryError):
-            reconstruct_N(fan, Q)
+def test_Q_keeps_its_fan(rng):
+    for k in range(4):
+        p = ParityClass(k)
+        fan = rand_fan(rng, p, 1, 6)
+        Q = forward_Q(fan, rand_N(rng, p, fan.m))
+        assert Q.cfg is fan and fan.basepoint is not None
+
+
+# --- a configuration with tangents is no fan ----------------------------------
+
+def test_load_config_keeps_the_basepoint(tmp_path):
+    points = [["-2", "4"], ["0", "5"], ["2", "4"]]
+    for extra, want in (
+        ({"basepoint": ["0", "-1"]}, RationalPoint(0, -1)),
+        ({"tangents": [["0", "-1"]] * 3}, None),
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_class": 1, "points": points, **extra}))
+        assert load_config(str(path)).basepoint == want
+
+
+def test_fan_functions_refuse_tangents(rng):
+    cfg = validate_admissible([(-2, 4), (0, 5), (2, 4)], [(0, -1)] * 3, P1)
+    N = rand_N(rng, P1, 3)
+    for call in (
+        lambda: forward_Q(cfg, N),
+        lambda: reconstruct_N(validate_Q(cfg, N)),
+        lambda: anchor_word(cfg, GroupoidWord((1, 2), (0, 0))),
+        lambda: hop_words(cfg),
+    ):
+        with pytest.raises(GeometryError, match="basepoint"):
+            call()

@@ -23,19 +23,20 @@ from conftest import all_parities, rand_N, rand_fan
 def oracle_forward_Q(fan, N):
     """Every off-diagonal entry from its own full-width character matrix;
     validate_Q then checks the lower triangle against the upper one."""
-    m = fan.cfg.m
-    rows = [[fan.cfg.parity.diag] * m for _ in range(m)]
+    m = fan.m
+    rows = [[fan.parity.diag] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
             if i != j:
                 rows[i][j] = character(N, _anchor_segment(fan, i + 1, j + 1))[i][j]
-    return validate_Q(fan.cfg, rows)
+    return validate_Q(fan, rows)
 
 
-def oracle_reconstruct_N(fan, Q):
-    """The hop-word / chi^Q reconstruction, entry by entry."""
-    m = fan.cfg.m
-    parity = fan.cfg.parity
+def oracle_reconstruct_N(Q):
+    """The hop-word / chi^Q reconstruction, entry by entry, over Q's fan."""
+    fan = Q.cfg
+    m = fan.m
+    parity = fan.parity
     hops = hop_words(fan)
     rows = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -63,7 +64,7 @@ def test_forward_Q_matches_oracle():
 
 def rand_Q(rng, fan, bound=50):
     """A valid Q over fan with entries in [-bound, bound]."""
-    return validate_Q(fan.cfg, rand_N(rng, fan.cfg.parity, fan.cfg.m, bound).n)
+    return validate_Q(fan, rand_N(rng, fan.parity, fan.m, bound).n)
 
 
 def test_matches_oracle_on_arbitrary_Q():
@@ -73,8 +74,8 @@ def test_matches_oracle_on_arbitrary_Q():
             for _ in range(2 if m > 6 else 4):
                 fan = rand_fan(rng, parity, m, m)
                 Q = rand_Q(rng, fan)
-                N = reconstruct_N(fan, Q)
-                assert N.n == oracle_reconstruct_N(fan, Q).n, (m, parity)
+                N = reconstruct_N(Q)
+                assert N.n == oracle_reconstruct_N(Q).n, (m, parity)
                 # forward_Q is a bijection onto valid Q
                 assert forward_Q(fan, N).q == Q.q
 
@@ -85,7 +86,7 @@ def test_triangular_structure():
     for parity in all_parities():
         for _ in range(3):
             fan = rand_fan(rng, parity, 3, 6)
-            m = fan.cfg.m
+            m = fan.m
             N = rand_N(rng, parity, m)
             Q = forward_Q(fan, N).q
             for a in range(m):
@@ -107,4 +108,4 @@ def test_roundtrip_m24():
         parity = ParityClass(k)
         fan = rand_fan(rng, parity, 24, 24)
         N = rand_N(rng, parity, 24)
-        assert reconstruct_N(fan, forward_Q(fan, N)).n == N.n
+        assert reconstruct_N(forward_Q(fan, N)).n == N.n

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidmono import AdmissibleConfig, FanConfiguration
+from braidmono import AdmissibleConfig
 from braidmono.serialize import (
     SerializeError,
     _excerpt,
@@ -54,7 +54,7 @@ def test_json_floats(tmp_path):
     assert str(exc.value) == f'{f}: float 1.5 is not an integer, write it as a "p/q" string'
     # an integral float is exact
     obj["points"][0][1] = 4.0
-    assert load_config(obj).cfg.points[0].y == 4
+    assert load_config(obj).points[0].y == 4
     # 1e23 reads as the float 99999999999999991611392 and 4.0000000000000001
     # as 4.0: both integral, so only the written token shows them inexact
     mat = tmp_path / "N.json"
@@ -73,7 +73,7 @@ def test_json_floats(tmp_path):
     mat.write_text('{"n_class": 1, "matrix": [[0, 1e3], [-1000.0, 0]]}')
     assert load_int_matrix(str(mat)).n == ((0, 1000), (-1000, 0))
     f.write_text('{"n_class": 1, "points": [[-2, 4.0], [1e1, 5]], "basepoint": [0, -1]}')
-    assert [p.x for p in load_config(str(f)).cfg.points] == [-2, 10]
+    assert [p.x for p in load_config(str(f)).points] == [-2, 10]
 
 
 def test_booleans_are_refused(tmp_path):
@@ -141,7 +141,7 @@ def test_load_config_fan():
         "basepoint": ["0", "-1"],
     }
     fan = load_config(obj)
-    assert isinstance(fan, FanConfiguration)
+    assert isinstance(fan, AdmissibleConfig) and require_fan(fan) is fan
 
 
 def test_load_config_explicit_tangents():
@@ -162,7 +162,7 @@ def test_load_config_refuses_basepoint_with_tangents():
     with pytest.raises(SerializeError) as exc:
         load_config(dict(obj, tangents=[["1", "1"]]))
     assert str(exc.value) == "config: give either basepoint or tangents, not both"
-    assert load_config(dict(obj, tangents=None)).cfg.tangents == ((0, -5),)
+    assert load_config(dict(obj, tangents=None)).tangents == ((0, -5),)
 
 
 def test_load_config_errors():
@@ -189,7 +189,7 @@ def test_int_matrix_roundtrip(tmp_path):
     assert N.n == ((0, 2), (-2, 0))
     assert int_matrix_json(N.parity, N.rows()) == obj
     fan = {"n_class": 1, "points": [["-2", "4"], ["2", "4"]], "basepoint": ["0", "-1"]}
-    assert load_int_matrix(str(f), load_config(fan).cfg) == N
+    assert load_int_matrix(str(f), load_config(fan)) == N
     # a matrix that does not fit the configuration names the matrix file
     for cfg, msg in [
         (dict(fan, n_class=0), "n_class 1, the configuration's is 0"),
@@ -197,7 +197,7 @@ def test_int_matrix_roundtrip(tmp_path):
          "matrix is 2x2, the configuration has 3 points"),
     ]:
         with pytest.raises(SerializeError) as exc:
-            load_int_matrix(str(f), load_config(cfg).cfg)
+            load_int_matrix(str(f), load_config(cfg))
         assert str(exc.value) == f"{f}: {msg}"
 
 
