@@ -4,13 +4,16 @@ coboundary transport, and braid-word equality.
 
 reduce_reps never builds the free-group cocycle: it folds the reduced
 cocycle law R(u l) = R(u) * u_#(R(l)) over the letters, with closed-form
-single-letter values.  The path-change reductions (tym, tym_framed,
-linking) take one pass over a braid of L letters, O(L + m^2): a row
-permutation and one exponent list per column, letters read from a table
-pl_letter fills, epsilon letters refused and purity read off the
-permutation in the pass, the result assembled without re-checks.  The
-Magnus reductions (burau, gassner) cost O(L * m) Laurent products.  The
-word path (abelian_reduce on magnus_cocycle or pl_cocycle) is the oracle.
+single-letter values.  Both families take one pass over the word, which
+refuses epsilon letters for the reps that take none and keeps the row
+permutation.  Purity is checked once, on the path-change pass's
+permutation, which gassner takes in O(L) before its Magnus pass.  The
+path-change reductions (tym, tym_framed, linking) cost O(L + m^2) on a
+braid of L letters: one exponent list per column, letters read from a
+table pl_letter fills, the result assembled without re-checks.  The
+Magnus reductions (burau, gassner) rewrite two Laurent columns per letter
+by closed sigma^{+-1} updates, O(L * m) Laurent products.  The word path
+(abelian_reduce on magnus_cocycle or pl_cocycle) is the oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .words import BraidWord, FreeWord, WordError, pl_letter
 from .words import _act_letter, _images, _inv, _reduce
 from .groupring import GroupRingElt, LaurentElt
 from .matrices import MonomialGammaMatrix, RingMatrix
-from .braids import braid_permutation
 
 
 def pl_cocycle(b: BraidWord) -> MonomialGammaMatrix:
@@ -81,37 +83,6 @@ _REPS = {
     "linking": ("pl", "multivariate", False, True),
 }
 
-# Reduced Magnus value of sigma_k^e on strands a = k-1, b = k: the identity
-# outside the 2x2 block (X_aa, X_ab, X_ba, X_bb); an entry is a sum of terms
-# (c, p, q) = c * t_a^p * t_b^q.
-#   s: [[1 - t_b, 1], [t_a, 0]]    s': [[0, t_b^-1], [1, (t_a - 1) t_b^-1]]
-_ONE = ((1, 0, 0),)
-_SIGMA_BLOCKS = {
-    1: (((1, 0, 0), (-1, 0, 1)), _ONE, ((1, 1, 0),), ()),
-    -1: ((), ((1, 0, -1),), _ONE, ((1, 1, -1), (-1, 0, -1))),
-}
-
-
-def _combine(width, x, y, parts):
-    """Column sum of col * c * t_x^p * t_y^q over (col, terms) in parts.
-
-    A column maps (row, exponent vector) -> nonzero coefficient.
-    """
-    parts = [(col, terms) for col, terms in parts if terms]
-    if len(parts) == 1 and parts[0][1] == _ONE:
-        return parts[0][0]  # columns are never mutated, so they can be shared
-    out: dict = {}
-    for col, terms in parts:
-        for c, p, q in terms:
-            shift = [0] * width
-            shift[x] += p
-            shift[y] += q
-            for (r, v), coef in col.items():
-                key = (r, tuple(map(add, v, shift)))
-                out[key] = out.get(key, 0) + c * coef
-    return {key: coef for key, coef in out.items() if coef}
-
-
 # letter -> pl_letter(*letter), filled on first sight; table False holds no epsilon letter
 _PL_LETTERS: dict = {True: {}, False: {}}
 
@@ -140,53 +111,80 @@ def _pl_fold(b: BraidWord, multivariate: bool, rep=None) -> tuple:
     return rows, exps
 
 
-def _magnus_fold(b: BraidWord, multivariate: bool) -> list:
-    """Columns of the reduced Magnus cocycle, by R(u l) = R(u) * u_#(R(l))
-    over the letters l of b.  After abelianization u_* only renames
-    variables, t_i -> t_{pi_u(i)} with pi_u = braid_permutation(u); with one
-    variable it does nothing.  A letter rewrites two columns, Laurent sums."""
+def _shift(out: dict, col: dict, c: int, by) -> None:
+    """out += c * t^by * col, for columns that map (row, exponent vector)
+    to a coefficient."""
+    for (r, v), coef in col.items():
+        key = (r, tuple(map(add, v, by)))
+        out[key] = out.get(key, 0) + c * coef
+
+
+def _magnus_fold(b: BraidWord, multivariate: bool, rep) -> tuple:
+    """(perm, cols): the row permutation of b and the columns of its reduced
+    Magnus cocycle, by R(u l) = R(u) * u_#(R(l)) over the letters l of b.
+    After abelianization u_* only renames variables, t_i -> t_{perm(i)};
+    with one variable it does nothing.  On strands a = k-1, b = k, with
+    t_x, t_y the variables of a and b, a letter rewrites two columns:
+        sigma_k:    col_a = ca (1 - t_y) + cb t_x,   col_b = ca
+        sigma_k^-1: col_a = cb,   col_b = ca t_y^-1 + cb (t_x - 1) t_y^-1
+    The Magnus cocycle is defined on unframed words, so an epsilon letter
+    is refused in the pass, in rep's name."""
     m = b.m
     width = m if multivariate else 1
-    var = list(range(m)) if multivariate else [0] * m
-    cols = [{(j, (0,) * width): 1} for j in range(m)]
+    perm = list(range(m))
+    var = perm if multivariate else [0] * m
+    zero = (0,) * width
+    cols = [{(j, zero): 1} for j in range(m)]
     for kind, k, e in b.letters:
+        if kind == "e":
+            raise WordError(f"{rep} requires a braid word without epsilon letters")
         a, bb = k - 2, k - 1
-        x_aa, x_ab, x_ba, x_bb = _SIGMA_BLOCKS[e]
         ca, cb = cols[a], cols[bb]
-        x, y = var[a], var[bb]
-        cols[a] = _combine(width, x, y, [(ca, x_aa), (cb, x_ba)])
-        cols[bb] = _combine(width, x, y, [(ca, x_ab), (cb, x_bb)])
-        var[a], var[bb] = y, x
-    return cols
+        tx, ty = [0] * width, [0] * width
+        tx[var[a]], ty[var[bb]] = 1, e  # t_x and t_y^e
+        new: dict = {}
+        if e > 0:
+            _shift(new, ca, 1, zero)
+            _shift(new, ca, -1, ty)
+            _shift(new, cb, 1, tx)
+        else:
+            _shift(new, ca, 1, ty)
+            _shift(new, cb, 1, list(map(add, tx, ty)))
+            _shift(new, cb, -1, ty)
+        new = {key: coef for key, coef in new.items() if coef}
+        cols[a], cols[bb] = (new, ca) if e > 0 else (cb, new)
+        perm[a], perm[bb] = perm[bb], perm[a]  # the var swap, when var is perm
+    return perm, cols
 
 
 def reduce_reps(b: BraidWord, rep: str) -> RingMatrix:
     """Laurent reduction of the Magnus or path-change cocycle, folded letter
     by letter; equal to abelian_reduce entrywise on magnus_cocycle(b) or
-    pl_cocycle(b).to_dense().  The path-change reps (tym, tym_framed,
-    linking) take one pass, _pl_fold, which refuses epsilon letters; purity
-    is read off its row permutation.  They come back as monomial matrices
-    built without re-checks: one zero for every empty entry and one
-    monomial per column, m + 1 ring elements."""
+    pl_cocycle(b).to_dense().  Both families take one pass over the word,
+    _pl_fold or _magnus_fold, which refuses epsilon letters in the pass
+    for the reps that take none and returns the row permutation.  Purity
+    is checked once, on _pl_fold's permutation: gassner takes that O(L)
+    pass first, so an impure word is refused before the Magnus pass.  The
+    path-change reps come back as monomial matrices built without
+    re-checks: one zero for every empty entry and one monomial per column,
+    m + 1 ring elements."""
     if rep not in _REPS:
         raise WordError(f"unknown representation {rep!r}")
     source, mode, framed_ok, needs_pure = _REPS[rep]
     multivariate = mode == "multivariate"
     nvars = b.m if multivariate else 0
-    if source == "pl":
-        rows, exps = _pl_fold(b, multivariate, None if framed_ok else rep)
-        if needs_pure and rows != list(range(b.m)):
+    guard = None if framed_ok else rep
+    if source == "pl" or needs_pure:  # gassner too: its Magnus pass can grow exponentially
+        perm, cols = _pl_fold(b, multivariate, guard)
+        if needs_pure and perm != list(range(b.m)):
             raise WordError(f"{rep} requires a pure braid word")
+    if source == "pl":
         zero = LaurentElt._of(nvars, {})
-        out = [[zero] * b.m for _ in rows]
-        for j, r in enumerate(rows):
-            out[r][j] = LaurentElt._of(nvars, {tuple(exps[j]): 1})
+        out = [[zero] * b.m for _ in perm]
+        for j, r in enumerate(perm):
+            out[r][j] = LaurentElt._of(nvars, {tuple(cols[j]): 1})
         return RingMatrix._of(tuple(map(tuple, out)))
-    if not framed_ok and b.is_framed():
-        raise WordError(f"{rep} requires a braid word without epsilon letters")
-    if needs_pure and not braid_permutation(b)[1]:
-        raise WordError(f"{rep} requires a pure braid word")
-    cols = _magnus_fold(b, multivariate)
+    cols = _magnus_fold(b, multivariate, guard)[1]
     rows = [[{} for _ in range(b.m)] for _ in range(b.m)]
     monos: dict = {}  # one key object per exponent vector, shared by all entries
     for j, col in enumerate(cols):

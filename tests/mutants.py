@@ -2,9 +2,11 @@
 
 Each mutant in MUTANTS names a module of src/braidmono, an exact piece of
 its source (it must occur exactly once), the replacement, and the tests
-that must fail.  For each one the harness copies src/, tests/ and
-pyproject.toml to a temporary directory, applies the mutant there, and
-runs pytest -x on the named tests.  A mutant is killed when pytest reports
+that must fail.  The harness first runs every named test on an unmutated
+copy.  Then, for each mutant, it copies src/, tests/ and pyproject.toml to
+a temporary directory of its own, applies the mutant there, and runs
+pytest -x on the named tests; the mutants run concurrently, one at a time
+per CPU (os.cpu_count()).  A mutant is killed when pytest reports
 a failed test.  The harness exits 1 if a mutant survives, if its source
 text no longer occurs exactly once, or if the named tests fail before any
 mutant is applied; so a refactor that moves a mutated line must update
@@ -23,6 +25,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,8 +41,8 @@ MUTANTS = [
      "        rows[r], rows[c] = rows[c], rows[r]  # the var swap, when var is rows\n"
      "        col[var[i - 1]] -= x\n",
      ["tests/test_reduce_oracle.py::test_pl_fold_matches_letter_blocks"]),
-    ("pl-pass: purity read dropped", "cocycles.py",
-     "if needs_pure and rows != list(range(b.m)):",
+    ("reduce_reps: purity check dropped", "cocycles.py",
+     "if needs_pure and perm != list(range(b.m)):",
      "if False:",
      ["tests/test_reduce_oracle.py::test_error_messages"]),
     ("pl-pass: epsilon refusal dropped", "cocycles.py",
@@ -50,8 +54,8 @@ MUTANTS = [
      "exps = [[0] * (m if multivariate else 1)] * m",
      ["tests/test_reduce_oracle.py::test_pl_fold_matches_letter_blocks"]),
     ("trusted assembly: every column reads one exponent list", "cocycles.py",
-     "{tuple(exps[j]): 1}",
-     "{tuple(exps[0]): 1}",
+     "{tuple(cols[j]): 1}",
+     "{tuple(cols[0]): 1}",
      ["tests/test_reduce_oracle.py::test_single_letters_and_empty_word"]),
     ("pl_letter: epsilon letter on the next strand", "words.py",
      "return k - 1, k - 1, k, e",
@@ -97,10 +101,26 @@ MUTANTS = [
      "sides.append(((1 << i) - 2, (1 << (m + 1)) - (1 << (i + 1))))",
      "sides.append(((1 << (m + 1)) - (1 << (i + 1)), (1 << i) - 2))",
      ["tests/test_ingest_oracle.py::test_fan_matches_fraction_construction"]),
-    ("Magnus sigma block: x_ba on the wrong generator", "cocycles.py",
-     "((1, 1, 0),)",
-     "((1, 0, 1),)",
-     ["tests/test_reduce_oracle.py"]),
+    ("Magnus fold: sigma's t_x term shifted on y", "cocycles.py",
+     "_shift(new, cb, 1, tx)",
+     "_shift(new, cb, 1, ty)",
+     ["tests/test_reduce_oracle.py::test_magnus_fold_matches_letter_blocks"]),
+    ("Magnus fold: sign of sigma^-1's -t_y^-1 term flipped", "cocycles.py",
+     "_shift(new, cb, -1, ty)",
+     "_shift(new, cb, 1, ty)",
+     ["tests/test_reduce_oracle.py::test_magnus_fold_matches_letter_blocks"]),
+    ("Magnus fold: epsilon refusal dropped", "cocycles.py",
+     'if kind == "e":',
+     "if False:",
+     ["tests/test_reduce_oracle.py::test_error_messages"]),
+    ("Magnus fold: perm swap dropped", "cocycles.py",
+     "perm[a], perm[bb] = perm[bb], perm[a]  # the var swap, when var is perm",
+     "pass",
+     ["tests/test_reduce_oracle.py::test_magnus_fold_matches_letter_blocks"]),
+    ("reduce_reps: gassner skips the path-change pass", "cocycles.py",
+     'if source == "pl" or needs_pure:',
+     'if source == "pl":',
+     ["tests/test_reduce_oracle.py::test_gassner_refuses_an_impure_word_before_the_magnus_pass"]),
 ]
 
 
@@ -118,6 +138,27 @@ def copy_tree(dest: Path) -> None:
     shutil.copy(ROOT / "pyproject.toml", dest)
 
 
+def run_mutant(tmp: str, k: int, mutant) -> tuple:
+    """(report, killed): mutant k applied to its own copy under tmp, and
+    its named tests run there."""
+    name, module, old, new, tests = mutant
+    where = Path(tmp) / f"m{k}"
+    copy_tree(where)
+    path = where / "src" / "braidmono" / module
+    text = path.read_text()
+    if text.count(old) != 1:
+        return f"STALE    {name}: its text occurs {text.count(old)} times in {module}", False
+    path.write_text(text.replace(old, new))
+    t0 = time.perf_counter()
+    run = pytest(where, tests)
+    took = time.perf_counter() - t0
+    shutil.rmtree(where)
+    if run.returncode == 1:  # a test failed
+        return f"killed   {name} ({took:.1f} s)", True
+    status = "SURVIVED" if run.returncode == 0 else f"ERROR {run.returncode}"
+    return f"{status} {name} ({took:.1f} s)\n" + run.stdout[-2000:] + run.stderr[-2000:], False
+
+
 def main(argv) -> int:
     table = [t for t in MUTANTS if not argv or t[0] in argv]
     if len(table) != len(argv or MUTANTS):
@@ -133,27 +174,12 @@ def main(argv) -> int:
             print(run.stdout[-2000:] + run.stderr[-2000:])
             print("mutants: the named tests fail before any mutant is applied")
             return 1
-        for k, (name, module, old, new, tests) in enumerate(table):
-            where = Path(tmp) / f"m{k}"
-            copy_tree(where)
-            path = where / "src" / "braidmono" / module
-            text = path.read_text()
-            if text.count(old) != 1:
-                failures.append(name)
-                print(f"STALE    {name}: its text occurs {text.count(old)} times in {module}")
-                continue
-            path.write_text(text.replace(old, new))
-            t0 = time.perf_counter()
-            run = pytest(where, tests)
-            took = time.perf_counter() - t0
-            if run.returncode == 1:  # a test failed
-                print(f"killed   {name} ({took:.1f} s)")
-            else:
-                failures.append(name)
-                status = "SURVIVED" if run.returncode == 0 else f"ERROR {run.returncode}"
-                print(f"{status} {name} ({took:.1f} s)")
-                print(run.stdout[-2000:] + run.stderr[-2000:])
-            shutil.rmtree(where)
+        with ThreadPoolExecutor(os.cpu_count()) as pool:
+            reports = pool.map(partial(run_mutant, tmp), range(len(table)), table)
+            for (name, *_), (report, killed) in zip(table, reports):
+                print(report, flush=True)
+                if not killed:
+                    failures.append(name)
     print(f"mutants: {len(table) - len(failures)}/{len(table)} killed "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if failures else 0

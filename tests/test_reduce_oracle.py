@@ -23,7 +23,8 @@ from braidmono import (
     pl_cocycle,
     reduce_reps,
 )
-from braidmono.cocycles import _pl_fold
+from braidmono import cocycles
+from braidmono.cocycles import _magnus_fold, _pl_fold
 from conftest import rand_braid
 
 REPS = ("burau", "tym", "tym_framed", "gassner", "linking")
@@ -87,22 +88,30 @@ def test_pure_braids(m):
             check(b, rep)
 
 
-# --- the path-change fold against its closed-form letter values --------------
+# --- the folds against their closed-form letter values ---------------------
 #
-# cocycles._pl_fold reads each path-change letter from words.pl_letter.  The
-# reference below states the same values by hand, as the 2x2 blocks of
-# sigma_k^{+-1} on strands a = k-1, b = k (terms (c, p, q) = c t_a^p t_b^q)
-#     s: [[0, 1], [t_a, 0]]      s': [[0, t_b^-1], [1, 0]]
-# and t_i^{-+1} on the diagonal at i for e_i^{+-1}.
+# cocycles._pl_fold reads each path-change letter from words.pl_letter, and
+# cocycles._magnus_fold writes each Magnus letter as a closed update.  The
+# reference below states both by hand, as the 2x2 blocks (X_aa, X_ab, X_ba,
+# X_bb) of sigma_k^{+-1} on strands a = k-1, b = k (terms (c, p, q) =
+# c t_a^p t_b^q, t_a and t_b the variables the prefix gives strands a, b)
+#   path change  s: [[0, 1], [t_a, 0]]          s': [[0, t_b^-1], [1, 0]]
+#   Magnus       s: [[1 - t_b, 1], [t_a, 0]]    s': [[0, t_b^-1], [1, (t_a - 1) t_b^-1]]
+# and, for the path change, t_i^{-+1} on the diagonal at i for e_i^{+-1}.
 
 _ONE = ((1, 0, 0),)
 PL_BLOCKS = {
     1: ((), _ONE, ((1, 1, 0),), ()),
     -1: ((), ((1, 0, -1),), _ONE, ()),
 }
+MAGNUS_BLOCKS = {
+    1: (((1, 0, 0), (-1, 0, 1)), _ONE, ((1, 1, 0),), ()),
+    -1: ((), ((1, 0, -1),), _ONE, ((1, 1, -1), (-1, 0, -1))),
+}
 
 
-def ref_pl_fold(b, multivariate):
+def ref_fold(b, multivariate, blocks):
+    """Columns of b's reduction, letter blocks combined term by term."""
     m = b.m
     width = m if multivariate else 1
     cols = [{(j, (0,) * width): 1} for j in range(m)]
@@ -125,13 +134,18 @@ def ref_pl_fold(b, multivariate):
             cols[k - 1] = combine(var[k - 1], var[k - 1], [(cols[k - 1], ((1, -e, 0),))])
             continue
         a, bb = k - 2, k - 1
-        x_aa, x_ab, x_ba, x_bb = PL_BLOCKS[e]
+        x_aa, x_ab, x_ba, x_bb = blocks[e]
         ca, cb = cols[a], cols[bb]
         x, y = var[a], var[bb]
         cols[a] = combine(x, y, [(ca, x_aa), (cb, x_ba)])
         cols[bb] = combine(x, y, [(ca, x_ab), (cb, x_bb)])
         var[a], var[bb] = y, x
     return cols
+
+
+def permutation(b):
+    """b's strand permutation, 0-based, as braid_permutation states it."""
+    return [i - 1 for i in braid_permutation(b)[0].images]
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -146,10 +160,25 @@ def test_pl_fold_matches_letter_blocks(m):
             rows, exps = _pl_fold(b, multivariate)
             # the monomial state: the rows of the columns a permutation, one
             # exponent list of the ring's arity per column
-            assert sorted(rows) == list(range(m))
+            assert rows == permutation(b), str(b)
             assert [len(v) for v in exps] == [m if multivariate else 1] * m
             cols = [{(r, tuple(v)): 1} for r, v in zip(rows, exps)]
-            assert cols == ref_pl_fold(b, multivariate), str(b)
+            assert cols == ref_fold(b, multivariate, PL_BLOCKS), str(b)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_magnus_fold_matches_letter_blocks(m):
+    """burau on words of 100-400 letters; gassner, whose terms grow much
+    faster ((s2 s3' s4)^32 makes 10^6), on words of up to 60."""
+    rng = random.Random(6400 + m)
+    short = [BraidWord(m, (letter,)) for letter in letters(m, framed=False)]
+    short += [rand_braid(rng, m, rng.randint(0, 60), framed=False) for _ in range(6)]
+    long = [rand_braid(rng, m, rng.randint(100, 400), framed=False)]
+    for multivariate, words in ((False, short + long), (True, short)):
+        for b in words:
+            perm, cols = _magnus_fold(b, multivariate, "rep")
+            assert perm == permutation(b), str(b)
+            assert cols == ref_fold(b, multivariate, MAGNUS_BLOCKS), (multivariate, str(b))
 
 
 def full_twist(m):
@@ -271,8 +300,9 @@ def test_error_messages():
 def test_epsilon_letters_are_refused_before_purity():
     """The pass refuses an epsilon letter wherever it sits, before purity
     is read off its permutation: an impure word whose only epsilon letter
-    is its last gets the epsilon message from tym and linking, and the
-    same word without it gets linking's purity message."""
+    is its last gets the epsilon message from every rep that takes none,
+    and the same word without it gets gassner's and linking's purity
+    message."""
     rng = random.Random(6300)
     for m in range(2, 7):
         for _ in range(8):
@@ -280,11 +310,27 @@ def test_epsilon_letters_are_refused_before_purity():
             if braid_permutation(w)[1]:
                 w = w * BraidWord(m, (("s", rng.randint(2, m), 1),))
             last = BraidWord(m, (("e", rng.randint(1, m), rng.choice((1, -1))),))
-            for rep in ("tym", "linking"):
+            for rep in ("burau", "tym", "gassner", "linking"):
                 with pytest.raises(WordError) as exc:
                     reduce_reps(w * last, rep)
                 assert str(exc.value) == f"{rep} requires a braid word without epsilon letters"
-            with pytest.raises(WordError) as exc:
-                reduce_reps(w, "linking")
-            assert str(exc.value) == "linking requires a pure braid word"
+            for rep in PURE:
+                with pytest.raises(WordError) as exc:
+                    reduce_reps(w, rep)
+                assert str(exc.value) == f"{rep} requires a pure braid word"
             check(w * last, "tym_framed")
+
+
+def test_gassner_refuses_an_impure_word_before_the_magnus_pass(monkeypatch):
+    """gassner reads purity off the O(L) path-change pass, so an impure
+    word never reaches the Magnus pass, whose terms can grow exponentially
+    with the word; a pure word still takes it."""
+    def no_pass(*args):
+        raise AssertionError("the Magnus pass ran")
+
+    monkeypatch.setattr(cocycles, "_magnus_fold", no_pass)
+    for word in ("s2", "s2 s3' " * 200 + "s2", "s2^1048575"):
+        with pytest.raises(WordError, match="^gassner requires a pure braid word$"):
+            reduce_reps(parse_braid(word, 3), "gassner")
+    with pytest.raises(AssertionError, match="the Magnus pass ran"):
+        reduce_reps(parse_braid("s2^2", 3), "gassner")
