@@ -4,16 +4,17 @@ coboundary transport, and braid-word equality.
 
 reduce_reps never builds the free-group cocycle: it folds the reduced
 cocycle law R(u l) = R(u) * u_#(R(l)) over the letters, with closed-form
-single-letter values.  Both families take one pass over the word, which
-refuses epsilon letters for the reps that take none and keeps the row
-permutation.  Purity is checked once, on the path-change pass's
-permutation, which gassner takes in O(L) before its Magnus pass.  The
-path-change reductions (tym, tym_framed, linking) cost O(L + m^2) on a
-braid of L letters: one exponent list per column, letters read from a
-table pl_letter fills, the result assembled without re-checks.  The
-Magnus reductions (burau, gassner) rewrite two Laurent columns per letter
-by closed sigma^{+-1} updates, O(L * m) Laurent products.  The word path
-(abelian_reduce on magnus_cocycle or pl_cocycle) is the oracle.
+single-letter values.  The reps that take no epsilon letter refuse a
+framed word before any pass, reading the flag BraidWord keeps.  Both
+families take one pass over the word, which keeps the row permutation.
+Purity is checked once, on the path-change pass's permutation, which
+gassner takes in O(L) before its Magnus pass.  The path-change reductions
+(tym, tym_framed, linking) cost O(L + m^2) on a braid of L letters: one
+exponent list per column, letters read from a table pl_letter fills, the
+result assembled without re-checks.  The Magnus reductions (burau,
+gassner) rewrite two Laurent columns per letter by closed sigma^{+-1}
+updates, O(L * m) Laurent products.  The word path (abelian_reduce on
+magnus_cocycle or pl_cocycle) is the oracle.
 """
 
 from __future__ import annotations
@@ -83,27 +84,23 @@ _REPS = {
     "linking": ("pl", "multivariate", False, True),
 }
 
-# letter -> pl_letter(*letter), filled on first sight; table False holds no epsilon letter
-_PL_LETTERS: dict = {True: {}, False: {}}
+_PL_LETTERS: dict = {}  # letter -> pl_letter(*letter), filled on first sight
 
 
-def _pl_fold(b: BraidWord, multivariate: bool, rep=None) -> tuple:
+def _pl_fold(b: BraidWord, multivariate: bool) -> tuple:
     """(rows, exps): column j of b's path-change reduction is t^exps[j] at
     row rows[j].  pl_letter's g_i^x reduces to t_i^-x and u_# renames the
     variables by the row permutation (one variable: none), so a letter
-    (c, r, i, x) takes x off column r's exponent and swaps columns r and c.
-    rep, if given, names the rep that refuses epsilon letters."""
-    m, table = b.m, _PL_LETTERS[rep is None]
+    (c, r, i, x) takes x off column r's exponent and swaps columns r and c."""
+    m = b.m
     rows = list(range(m))
     var = rows if multivariate else [0] * m
     exps = [[0] * (m if multivariate else 1) for _ in range(m)]
     for letter in b.letters:
         try:
-            c, r, i, x = table[letter]
+            c, r, i, x = _PL_LETTERS[letter]
         except KeyError:
-            if rep and letter[0] == "e":
-                raise WordError(f"{rep} requires a braid word without epsilon letters") from None
-            c, r, i, x = table[letter] = pl_letter(*letter)
+            c, r, i, x = _PL_LETTERS[letter] = pl_letter(*letter)
         col = exps[r]
         col[var[i - 1]] -= x
         exps[r], exps[c] = exps[c], col
@@ -119,7 +116,7 @@ def _shift(out: dict, col: dict, c: int, by) -> None:
         out[key] = out.get(key, 0) + c * coef
 
 
-def _magnus_fold(b: BraidWord, multivariate: bool, rep) -> tuple:
+def _magnus_fold(b: BraidWord, multivariate: bool) -> tuple:
     """(perm, cols): the row permutation of b and the columns of its reduced
     Magnus cocycle, by R(u l) = R(u) * u_#(R(l)) over the letters l of b.
     After abelianization u_* only renames variables, t_i -> t_{perm(i)};
@@ -127,17 +124,15 @@ def _magnus_fold(b: BraidWord, multivariate: bool, rep) -> tuple:
     t_x, t_y the variables of a and b, a letter rewrites two columns:
         sigma_k:    col_a = ca (1 - t_y) + cb t_x,   col_b = ca
         sigma_k^-1: col_a = cb,   col_b = ca t_y^-1 + cb (t_x - 1) t_y^-1
-    The Magnus cocycle is defined on unframed words, so an epsilon letter
-    is refused in the pass, in rep's name."""
+    The Magnus cocycle is defined on unframed words: b has no epsilon
+    letter."""
     m = b.m
     width = m if multivariate else 1
     perm = list(range(m))
     var = perm if multivariate else [0] * m
     zero = (0,) * width
     cols = [{(j, zero): 1} for j in range(m)]
-    for kind, k, e in b.letters:
-        if kind == "e":
-            raise WordError(f"{rep} requires a braid word without epsilon letters")
+    for _, k, e in b.letters:
         a, bb = k - 2, k - 1
         ca, cb = cols[a], cols[bb]
         tx, ty = [0] * width, [0] * width
@@ -160,22 +155,23 @@ def _magnus_fold(b: BraidWord, multivariate: bool, rep) -> tuple:
 def reduce_reps(b: BraidWord, rep: str) -> RingMatrix:
     """Laurent reduction of the Magnus or path-change cocycle, folded letter
     by letter; equal to abelian_reduce entrywise on magnus_cocycle(b) or
-    pl_cocycle(b).to_dense().  Both families take one pass over the word,
-    _pl_fold or _magnus_fold, which refuses epsilon letters in the pass
-    for the reps that take none and returns the row permutation.  Purity
-    is checked once, on _pl_fold's permutation: gassner takes that O(L)
-    pass first, so an impure word is refused before the Magnus pass.  The
-    path-change reps come back as monomial matrices built without
+    pl_cocycle(b).to_dense().  The reps that take no epsilon letter refuse
+    a framed word first, in O(1).  Both families take one pass over the
+    word, _pl_fold or _magnus_fold, which returns the row permutation.
+    Purity is checked once, on _pl_fold's permutation: gassner takes that
+    O(L) pass first, so an impure word is refused before the Magnus pass.
+    The path-change reps come back as monomial matrices built without
     re-checks: one zero for every empty entry and one monomial per column,
     m + 1 ring elements."""
     if rep not in _REPS:
         raise WordError(f"unknown representation {rep!r}")
     source, mode, framed_ok, needs_pure = _REPS[rep]
+    if not framed_ok and b.is_framed():
+        raise WordError(f"{rep} requires a braid word without epsilon letters")
     multivariate = mode == "multivariate"
     nvars = b.m if multivariate else 0
-    guard = None if framed_ok else rep
     if source == "pl" or needs_pure:  # gassner too: its Magnus pass can grow exponentially
-        perm, cols = _pl_fold(b, multivariate, guard)
+        perm, cols = _pl_fold(b, multivariate)
         if needs_pure and perm != list(range(b.m)):
             raise WordError(f"{rep} requires a pure braid word")
     if source == "pl":
@@ -184,7 +180,7 @@ def reduce_reps(b: BraidWord, rep: str) -> RingMatrix:
         for j, r in enumerate(perm):
             out[r][j] = LaurentElt._of(nvars, {tuple(cols[j]): 1})
         return RingMatrix._of(tuple(map(tuple, out)))
-    cols = _magnus_fold(b, multivariate, guard)[1]
+    cols = _magnus_fold(b, multivariate)[1]
     rows = [[{} for _ in range(b.m)] for _ in range(b.m)]
     monos: dict = {}  # one key object per exponent vector, shared by all entries
     for j, col in enumerate(cols):
@@ -195,7 +191,7 @@ def reduce_reps(b: BraidWord, rep: str) -> RingMatrix:
     def entry(terms):
         key = frozenset(terms.items())
         if key not in entries:
-            entries[key] = LaurentElt(nvars, terms)
+            entries[key] = LaurentElt._of(nvars, terms)
         return entries[key]
 
     return RingMatrix([[entry(terms) for terms in row] for row in rows])

@@ -168,9 +168,7 @@ class LaurentElt(_SparseRing):
         for v in terms:
             if len(v) != width:
                 raise ValueError(f"exponent vector {v} has wrong arity")
-        # the base's assignments inline: reduce_reps builds one per entry
-        self._ring = nvars
-        self.terms = {v: c for v, c in terms.items() if c != 0}
+        super().__init__(nvars, terms)
 
     @classmethod
     def _of(cls, nvars: int, terms: dict) -> "LaurentElt":

@@ -6,12 +6,13 @@ its bundled 3-sheeted example.
 One row kernel, a rank-1 update per syllable with letter powers in closed
 form, moves rows through rho_N for rho, character (O(syllables m^2)),
 character_transform = S^T (N rho_N(g)) S and reconstruct's interval push.
-theoremB_S and act_on_N fold the cocycle law over the braid letters,
-O(|sigma| m), without free-group words.  Costs count integer operations,
-which get dearer as entries grow with the word; cocycle_and_action takes a
-bit budget on them.  The word-based
-definitions (S read off pl_cocycle, rho as a product of generator
-matrices) are the reference the tests compare against.
+cocycle_and_action folds the cocycle law over the braid letters,
+O(|sigma| m), without free-group words, and theoremB_S and act_on_N read
+their half of its result.  Costs count integer operations, which get
+dearer as entries grow with the word; cocycle_and_action takes a bit
+budget on them.  The word-based definitions (S read off pl_cocycle, rho as
+a product of generator matrices) are the reference the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -162,8 +163,9 @@ def character(N: IntersectionMatrix, g: FreeWord):
     return _push(N.n, N, g)
 
 
-def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool, max_bits=None):
-    """Fold the cocycle law S(uv, N) = S(u, N) S(v, u^*N) letter by letter.
+def cocycle_and_action(sigma: BraidWord, N: IntersectionMatrix, max_bits=None):
+    """(theoremB_S(sigma, N), act_on_N(sigma, N)): the cocycle law
+    S(uv, N) = S(u, N) S(v, u^*N) folded letter by letter.
 
     On one letter S = P + t e_i e_i^T, where P swaps columns i and j
     (P = I when i = j) and t = -s N[i][j]: column i of S is column j of
@@ -171,17 +173,15 @@ def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool, max_bits=None):
     row j of column i, (i, j, a, x) = words.pl_letter(letter).  So s is
     parity.rho_coeff(-x).
 
-    N <- S^T N S and S <- S * S_letter each cost O(m) per letter.  Returns
-    (S, rows of sigma^* N); S is [] unless with_S.  max_bits bounds the
-    cost, as entries may grow doubly exponentially with the word: a letter
-    that writes an entry of more than max_bits bits raises OverflowError
-    naming the entry and the letter's position.
+    N <- S^T N S and S <- S * S_letter each cost O(m) per letter.  max_bits
+    bounds the cost, as entries may grow doubly exponentially with the
+    word: a letter that writes an entry of more than max_bits bits raises
+    OverflowError naming the entry and the letter's position.
     """
     if sigma.m != N.m:
         raise WordError(f"strand count {sigma.m} vs matrix size {N.m}")
     s_of = {x: N.parity.rho_coeff(-x) for x in (1, -1)}
-    rows = N.rows()
-    S = mat_eye(N.m) if with_S else []
+    rows, S = N.rows(), mat_eye(N.m)
     for p, (kind, k, e) in enumerate(sigma.letters, 1):
         i, j, _, x = pl_letter(kind, k, e)
         t = -s_of[x] * rows[i][j]
@@ -198,26 +198,19 @@ def _fold(sigma: BraidWord, N: IntersectionMatrix, with_S: bool, max_bits=None):
                 if v.bit_length() > max_bits:
                     raise OverflowError(f"{name} entry ({r + 1},{c + 1}) passes the "
                                         f"{max_bits}-bit budget at letter {p}")
-    return S, rows
+    return S, validate_N(N.parity, rows)
 
 
 def theoremB_S(sigma: BraidWord, N: IntersectionMatrix):
     """Integer cocycle: column j of S is column pi(j) of rho_N(s_j^{-1}),
     with (pi, s_j) the monomial cocycle of sigma; computed by a fold over
     the letters in O(|sigma| m)."""
-    return _fold(sigma, N, with_S=True)[0]
+    return cocycle_and_action(sigma, N)[0]
 
 
 def act_on_N(sigma: BraidWord, N: IntersectionMatrix) -> IntersectionMatrix:
     """sigma^* N = S(sigma,N)^T N S(sigma,N); revalidated."""
-    return validate_N(N.parity, _fold(sigma, N, with_S=False)[1])
-
-
-def cocycle_and_action(sigma: BraidWord, N: IntersectionMatrix, max_bits=None):
-    """(theoremB_S(sigma, N), act_on_N(sigma, N)) from one fold, refused
-    with OverflowError past a bit budget max_bits as in _fold."""
-    S, rows = _fold(sigma, N, with_S=True, max_bits=max_bits)
-    return S, validate_N(N.parity, rows)
+    return cocycle_and_action(sigma, N)[1]
 
 
 def character_transform(N: IntersectionMatrix, tau: BraidWord, g: FreeWord):

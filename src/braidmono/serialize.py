@@ -19,7 +19,7 @@ from .geometry import AdmissibleConfig, GeometryError, RationalPoint, _exact, va
 from .matrices import MonomialGammaMatrix, RingMatrix
 from .monodromy import IntersectionMatrix, ParityClass, validate_N
 from .reconstruct import build_fan_config
-from .words import _excerpt, read_int, read_rational
+from .words import _excerpt, read_int
 
 
 class SerializeError(ValueError):
@@ -35,7 +35,7 @@ def parse_rational(s):
     reason = "a boolean is not a number"
     if not isinstance(s, bool):
         try:
-            return read_rational(s) if isinstance(s, str) else _exact(s)
+            return _exact(s)
         except (ValueError, TypeError) as exc:
             reason = str(exc)
     raise SerializeError(f"bad rational {_excerpt(repr(s))}: {reason}")

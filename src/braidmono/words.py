@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -227,9 +227,11 @@ class BraidWord:
 
     m: int
     letters: tuple[tuple[str, int, int], ...]
+    _framed: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_strands(self.m)
+        framed = False
         for kind, i, e in self.letters:
             if type(i) is not int:
                 raise WordError(f"braid letter index {i!r} is not an int")
@@ -239,6 +241,7 @@ class BraidWord:
             elif kind == "e":
                 if not 1 <= i <= self.m:
                     raise WordError(f"epsilon index {_excerpt(i)} out of range 1..{self.m}")
+                framed = True
             else:
                 raise WordError(f"unknown braid letter kind {kind!r}")
             if e not in (1, -1) or type(e) is not int:
@@ -247,6 +250,7 @@ class BraidWord:
         # pointer per letter, not a tuple
         letters = self.letters
         object.__setattr__(self, "letters", tuple(map(_LETTERS.setdefault, letters, letters)))
+        object.__setattr__(self, "_framed", framed)
 
     @staticmethod
     def identity(m: int) -> "BraidWord":
@@ -264,7 +268,7 @@ class BraidWord:
 
     def is_framed(self) -> bool:
         """True if the word contains an epsilon letter."""
-        return any(k == "e" for k, _, _ in self.letters)
+        return self._framed
 
     def __str__(self) -> str:
         return format_braid(self)

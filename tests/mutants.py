@@ -45,10 +45,14 @@ MUTANTS = [
      "if needs_pure and perm != list(range(b.m)):",
      "if False:",
      ["tests/test_reduce_oracle.py::test_error_messages"]),
-    ("pl-pass: epsilon refusal dropped", "cocycles.py",
-     'if rep and letter[0] == "e":',
+    ("reduce_reps: epsilon refusal dropped", "cocycles.py",
+     "if not framed_ok and b.is_framed():",
      "if False:",
-     ["tests/test_reduce_oracle.py::test_error_messages"]),
+     ["tests/test_reduce_oracle.py::test_epsilon_letters_are_refused_before_any_pass"]),
+    ("BraidWord: framed flag never set", "words.py",
+     "                framed = True\n",
+     "",
+     ["tests/test_reduce_oracle.py::test_epsilon_letters_are_refused_before_any_pass"]),
     ("pl-pass: one exponent list for every column", "cocycles.py",
      "exps = [[0] * (m if multivariate else 1) for _ in range(m)]",
      "exps = [[0] * (m if multivariate else 1)] * m",
@@ -65,7 +69,7 @@ MUTANTS = [
      "return self.eps * (e if self.n_mod_4 & 1 else e % 2)",
      "return self.eps * (-e if self.n_mod_4 & 1 else e % 2)",
      ["tests/test_total_monodromy.py::test_sebastiani_thom_total_monodromy_and_kernel"]),
-    ("monodromy._fold: bit budget > -> >=", "monodromy.py",
+    ("cocycle_and_action: bit budget > -> >=", "monodromy.py",
      "if v.bit_length() > max_bits:",
      "if v.bit_length() >= max_bits:",
      ["tests/test_monodromy.py::test_fold_bit_budget_on_a_pseudo_anosov_word"]),
@@ -109,10 +113,6 @@ MUTANTS = [
      "_shift(new, cb, -1, ty)",
      "_shift(new, cb, 1, ty)",
      ["tests/test_reduce_oracle.py::test_magnus_fold_matches_letter_blocks"]),
-    ("Magnus fold: epsilon refusal dropped", "cocycles.py",
-     'if kind == "e":',
-     "if False:",
-     ["tests/test_reduce_oracle.py::test_error_messages"]),
     ("Magnus fold: perm swap dropped", "cocycles.py",
      "perm[a], perm[bb] = perm[bb], perm[a]  # the var swap, when var is perm",
      "pass",

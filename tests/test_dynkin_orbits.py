@@ -10,7 +10,7 @@ sign normalised.  It stops one basis past the count, so a wrong sign rule
 in the fold fails fast instead of running on.
 
 The counts do not pin which of eps and sgn*eps goes with which letter
-exponent in monodromy._fold (swapping them leaves every count unchanged);
+exponent in cocycle_and_action (swapping them leaves every count unchanged);
 test_monodromy_oracle does.
 """
 

@@ -176,7 +176,7 @@ def test_magnus_fold_matches_letter_blocks(m):
     long = [rand_braid(rng, m, rng.randint(100, 400), framed=False)]
     for multivariate, words in ((False, short + long), (True, short)):
         for b in words:
-            perm, cols = _magnus_fold(b, multivariate, "rep")
+            perm, cols = _magnus_fold(b, multivariate)
             assert perm == permutation(b), str(b)
             assert cols == ref_fold(b, multivariate, MAGNUS_BLOCKS), (multivariate, str(b))
 
@@ -334,3 +334,28 @@ def test_gassner_refuses_an_impure_word_before_the_magnus_pass(monkeypatch):
             reduce_reps(parse_braid(word, 3), "gassner")
     with pytest.raises(AssertionError, match="the Magnus pass ran"):
         reduce_reps(parse_braid("s2^2", 3), "gassner")
+
+
+def test_epsilon_letters_are_refused_before_any_pass(monkeypatch):
+    """A framed word is refused on the flag BraidWord records while it
+    checks the letters, before either pass reads a letter, however long
+    the word.  The flag agrees with a scan of the letters on random words,
+    their products and their inverses."""
+    def no_pass(*args):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(cocycles, "_pl_fold", no_pass)
+    monkeypatch.setattr(cocycles, "_magnus_fold", no_pass)
+    long = parse_braid("s2^1048576 e1", 3)
+    for rep in ("burau", "tym", "gassner", "linking"):
+        with pytest.raises(WordError) as exc:
+            reduce_reps(long, rep)
+        assert str(exc.value) == f"{rep} requires a braid word without epsilon letters"
+    with pytest.raises(WordError, match="^the Magnus cocycle is defined on unframed braid words$"):
+        magnus_cocycle(long)
+    rng = random.Random(6500)
+    for m in range(2, 7):
+        words = [rand_braid(rng, m, rng.randint(0, 6), framed=rng.random() < 0.5) for _ in range(12)]
+        for u in words:
+            for w in (u, u.inverse(), u * rng.choice(words)):
+                assert w.is_framed() == any(kind == "e" for kind, _, _ in w.letters), str(w)

@@ -13,7 +13,7 @@ ch. V §6; Humphreys, Reflection Groups and Coxeter Groups, §3.16-3.19).  For
 n odd it is prod_j (t + e^{2 pi i m_j / h}), the sign flip of Sebastiani-Thom
 on adding a square.  The polynomial is an invariant of the braid orbit, so
 it is checked along random braids too: that is where a wrong sign of
-rho_coeff in monodromy._fold shows, for n odd (for n even rho_coeff(1) and
+rho_coeff in cocycle_and_action shows, for n odd (for n even rho_coeff(1) and
 rho_coeff(-1) agree).  Polynomials are exact integer coefficient lists,
 highest degree first.
 """
