@@ -10,7 +10,7 @@ from .words import (
 )
 from .groupring import GroupRingElt, LaurentElt, abelian_reduce
 from .matrices import MatrixError, MonomialGammaMatrix, RingMatrix
-from .braids import LinkingMatrix, Permutation, braid_permutation, linking_numbers
+from .braids import LinkingMatrix, braid_permutation, linking_numbers
 from .cocycles import (
     braid_equal, coboundary_transport, fox_derivative, magnus_cocycle, pl_cocycle,
     reduce_reps,
@@ -36,7 +36,7 @@ from .reconstruct import (
 __all__ = [
     "BraidWord", "FreeWord", "WordError", "braid_act_word", "format_braid", "format_word",
     "parse_braid", "parse_word", "GroupRingElt", "LaurentElt", "abelian_reduce",
-    "MatrixError", "MonomialGammaMatrix", "RingMatrix", "LinkingMatrix", "Permutation",
+    "MatrixError", "MonomialGammaMatrix", "RingMatrix", "LinkingMatrix",
     "braid_permutation", "linking_numbers", "braid_equal", "coboundary_transport",
     "fox_derivative", "magnus_cocycle", "pl_cocycle", "reduce_reps", "IntersectionMatrix",
     "OrientedZeroSphere", "ParityClass", "ParityError", "act_on_N", "character",

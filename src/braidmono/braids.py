@@ -1,43 +1,20 @@
 """Braid-word permutations, purity, and linking numbers of pure-braid
-closures.
+closures, read off the path-change pass cocycles._pl_fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cocycles import _pl_fold
 from .words import BraidWord, WordError
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Permutation of 1..m, stored as the tuple of images."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation: {self.images}")
-
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= len(self.images):
-            raise ValueError(f"point {i} out of range 1..{len(self.images)}")
-        return self.images[i - 1]
-
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(1, len(self.images) + 1))
-
-
-def braid_permutation(b: BraidWord) -> tuple[Permutation, bool]:
-    """Underlying permutation (sigma_k -> transposition (k-1, k)) and purity."""
-    # pi(word) = t_{l1} ∘ t_{l2} ∘ ... with the leftmost letter outermost;
-    # accumulating P <- P∘t left-to-right swaps P's entries at k-1, k
-    images = list(range(1, b.m + 1))
-    for kind, k, _ in b.letters:
-        if kind == "s":
-            images[k - 2], images[k - 1] = images[k - 1], images[k - 2]
-    perm = Permutation(tuple(images))
-    return perm, perm.is_identity()
+def braid_permutation(b: BraidWord) -> tuple[tuple[int, ...], bool]:
+    """Underlying permutation (sigma_k -> transposition (k-1, k)) as its tuple
+    of images, and purity: the path-change pass's row permutation, plus one."""
+    rows = _pl_fold(b, False)[0]
+    return tuple(r + 1 for r in rows), rows == list(range(b.m))
 
 
 @dataclass(frozen=True)
@@ -57,27 +34,13 @@ class LinkingMatrix:
 def linking_numbers(b: BraidWord) -> LinkingMatrix:
     """Pairwise linking numbers of the closure of a pure braid.
 
-    Sign convention: each positive sigma-letter crossing distinct components
-    i, j contributes -1 to the running count c(i,j); lk = c/2.  This is the
-    convention under which the multivariate reduction of the path-change
-    cocycle is diag(prod_{j != i} t_j^{-lk(i,j)}).
+    Sign convention: the multivariate reduction of the path-change cocycle
+    is diag(prod_{j != i} t_j^{-lk(i,j)}), so lk(i,j) is minus the exponent
+    of t_i in column j of the pass (a positive sigma-letter crossing i and j
+    adds -1/2); epsilon letters move only the diagonal, which lk leaves 0.
     """
-    # comp[p] = component label currently at strand position p+1
-    comp = list(range(b.m))
-    c = [[0] * b.m for _ in range(b.m)]
-    for kind, k, e in reversed(b.letters):
-        if kind != "s":
-            continue
-        a, bb = comp[k - 2], comp[k - 1]
-        if a != bb:
-            c[a][bb] -= e
-            c[bb][a] -= e
-        comp[k - 2], comp[k - 1] = comp[k - 1], comp[k - 2]
-    if comp != list(range(b.m)):
+    rows, exps = _pl_fold(b, True)
+    if rows != list(range(b.m)):
         raise WordError("linking numbers require a pure braid")
-    for i in range(b.m):
-        for j in range(b.m):
-            if c[i][j] % 2:
-                raise AssertionError("odd crossing count on a pure braid")
-            c[i][j] //= 2
-    return LinkingMatrix(b.m, tuple(tuple(r) for r in c))
+    return LinkingMatrix(b.m, tuple(
+        tuple(-exps[j][i] if i != j else 0 for j in range(b.m)) for i in range(b.m)))

@@ -8,7 +8,8 @@ single-letter values.  The reps that take no epsilon letter refuse a
 framed word before any pass, reading the flag BraidWord keeps.  Both
 families take one pass over the word, which keeps the row permutation.
 Purity is checked once, on the path-change pass's permutation, which
-gassner takes in O(L) before its Magnus pass.  The path-change reductions
+gassner takes in O(L) before its Magnus pass; braids reads the permutation,
+purity and linking numbers off that pass too.  The path-change reductions
 (tym, tym_framed, linking) cost O(L + m^2) on a braid of L letters: one
 exponent list per column, letters read from a table pl_letter fills, the
 result assembled without re-checks.  The Magnus reductions (burau,

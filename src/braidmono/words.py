@@ -256,15 +256,22 @@ class BraidWord:
     def identity(m: int) -> "BraidWord":
         return BraidWord(m, ())
 
+    def _of(self, letters: tuple, framed: bool) -> "BraidWord":
+        """A word on self's strands from letters already checked and interned."""
+        b = object.__new__(BraidWord)
+        for name, value in (("m", self.m), ("letters", letters), ("_framed", framed)):
+            object.__setattr__(b, name, value)
+        return b
+
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.m != other.m:
             raise WordError(f"mixed strand counts {self.m} and {other.m}")
-        return BraidWord(self.m, self.letters + other.letters)
+        return self._of(self.letters + other.letters, self._framed or other._framed)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(
-            self.m, tuple((k, i, -e) for k, i, e in reversed(self.letters))
-        )
+        flip = {(k, i, e): _LETTERS.setdefault((k, i, -e), (k, i, -e))
+                for k, i, e in set(self.letters)}  # each distinct letter once
+        return self._of(tuple(map(flip.__getitem__, reversed(self.letters))), self._framed)
 
     def is_framed(self) -> bool:
         """True if the word contains an epsilon letter."""
@@ -299,8 +306,6 @@ def parse_braid(text: str, m: int) -> BraidWord:
 
 
 def format_braid(b: BraidWord) -> str:
-    if not b.letters:
-        return "1"
     # re-merge runs for readability
     runs: list[list] = []
     for k, i, e in b.letters:
@@ -308,7 +313,7 @@ def format_braid(b: BraidWord) -> str:
             runs[-1][2] += e
         else:
             runs.append([k, i, e])
-    return " ".join(_fmt(k, i, e) for k, i, e in runs if e != 0)
+    return " ".join(_fmt(k, i, e) for k, i, e in runs if e != 0) or "1"
 
 
 # --- braid action on the free group ---------------------------------------

@@ -117,6 +117,34 @@ MUTANTS = [
      "perm[a], perm[bb] = perm[bb], perm[a]  # the var swap, when var is perm",
      "pass",
      ["tests/test_reduce_oracle.py::test_magnus_fold_matches_letter_blocks"]),
+    ("braid_permutation: rows not shifted to 1..m", "braids.py",
+     "tuple(r + 1 for r in rows)",
+     "tuple(rows)",
+     ["tests/test_exhaustive.py::test_permutation_and_purity"]),
+    ("braid_permutation: purity not read off the rows", "braids.py",
+     "rows == list(range(b.m))",
+     "True",
+     ["tests/test_exhaustive.py::test_permutation_and_purity"]),
+    ("linking_numbers: sign flipped", "braids.py",
+     "tuple(-exps[j][i] if i != j",
+     "tuple(exps[j][i] if i != j",
+     ["tests/test_exhaustive.py::test_linking_numbers"]),
+    ("linking_numbers: diagonal not zeroed", "braids.py",
+     "-exps[j][i] if i != j else 0",
+     "-exps[j][i]",
+     ["tests/test_exhaustive.py::test_linking_numbers"]),
+    ("linking_numbers: impure word not refused", "braids.py",
+     "if rows != list(range(b.m)):",
+     "if False:",
+     ["tests/test_exhaustive.py::test_linking_numbers"]),
+    ("format_braid: a cancelled word prints ''", "words.py",
+     'if e != 0) or "1"',
+     "if e != 0)",
+     ["tests/test_exhaustive.py::test_format_then_parse"]),
+    ("BraidWord product: framed flag of the right factor dropped", "words.py",
+     "self._framed or other._framed",
+     "self._framed",
+     ["tests/test_words.py::test_product_and_inverse_check_no_letter_again"]),
     ("reduce_reps: gassner skips the path-change pass", "cocycles.py",
      'if source == "pl" or needs_pure:',
      'if source == "pl":',
@@ -125,9 +153,13 @@ MUTANTS = [
 
 
 def pytest(where: Path, tests) -> subprocess.CompletedProcess:
+    """pytest -x on tests in where.  Hypothesis's pytest plugin is not
+    loaded: it costs a second of start-up per run, and the tests that use
+    @given import hypothesis themselves."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         "-p", "no:hypothesispytest", *tests],
         cwd=where, env=env, capture_output=True, text=True)
 
 

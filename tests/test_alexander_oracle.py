@@ -85,7 +85,7 @@ def knot_braid(rng, m):
     is one m-cycle."""
     while True:
         b = rand_braid(rng, m, rng.randint(m - 1, 8), framed=False)
-        images, k, steps = braid_permutation(b)[0].images, 1, 1
+        images, k, steps = braid_permutation(b)[0], 1, 1
         while images[k - 1] != 1:
             k, steps = images[k - 1], steps + 1
         if steps == m:

@@ -26,6 +26,7 @@ from braidmono import (
 from braidmono import cocycles
 from braidmono.cocycles import _magnus_fold, _pl_fold
 from conftest import rand_braid
+from test_braids import oracle_permutation
 
 REPS = ("burau", "tym", "tym_framed", "gassner", "linking")
 PURE = ("gassner", "linking")
@@ -144,8 +145,9 @@ def ref_fold(b, multivariate, blocks):
 
 
 def permutation(b):
-    """b's strand permutation, 0-based, as braid_permutation states it."""
-    return [i - 1 for i in braid_permutation(b)[0].images]
+    """b's strand permutation, 0-based, by the letter loop of test_braids:
+    braid_permutation reads it off _pl_fold, the pass under test."""
+    return [i - 1 for i in oracle_permutation(b)]
 
 
 @pytest.mark.parametrize("m", range(1, 8))

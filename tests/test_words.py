@@ -11,6 +11,7 @@ from braidmono import (
     parse_braid,
     parse_word,
 )
+from braidmono import words
 from braidmono.words import MAX_BRAID_POWER, read_int
 
 pairs_st = st.lists(
@@ -138,6 +139,47 @@ def test_braid_letters_are_interned():
     assert u == v == BraidWord(3, raw) and hash(u) == hash(BraidWord(3, raw))
     assert repr(u) == "BraidWord(3, \"s2 e3' s3' s2\")"
     assert (u * v).letters[4] is u.letters[0]
+
+
+def test_product_and_inverse_check_no_letter_again(monkeypatch):
+    """A product or inverse of checked words skips the letter check: the
+    constructor's check does not run, an inverse interns each distinct
+    letter once, and the result equals, hashes and prints as the checked
+    construction, with its framed flag and with interned letters."""
+    u = parse_braid("s2^300 e1' s3^-200", 3)
+    v, one = parse_braid("s3 s2' s2'", 3), BraidWord.identity(3)
+
+    class Counting(dict):
+        def setdefault(self, key, default=None):
+            calls.append(key)
+            return super().setdefault(key, default)
+
+    calls = []
+    monkeypatch.setattr(BraidWord, "__post_init__", lambda self: calls.append(self))
+    monkeypatch.setattr(words, "_LETTERS", Counting(words._LETTERS))
+    built = {"u v": u * v, "v u": v * u, "v v": v * v, "u'": u.inverse(),
+             "v'": v.inverse(), "1 1": one * one}
+    assert len(calls) == 5  # the 3 distinct letters of u and the 2 of v, inverted
+    monkeypatch.undo()
+    for text, framed in (("u v", True), ("v u", True), ("v v", False), ("u'", True),
+                         ("v'", False), ("1 1", False)):
+        b = built[text]
+        checked = BraidWord(3, b.letters)
+        assert b == checked and hash(b) == hash(checked) and repr(b) == repr(checked)
+        assert b.is_framed() is framed, text
+        assert all(x is words._LETTERS[x] for x in b.letters), text
+    assert built["u'"] == parse_braid("s3^200 e1 s2^-300", 3)
+    assert built["v'"] == parse_braid("s2 s2 s3'", 3)
+    assert built["u v"].letters == u.letters + v.letters
+    with pytest.raises(WordError, match="^mixed strand counts 3 and 4$"):
+        u * BraidWord.identity(4)
+
+
+def test_format_braid_writes_a_cancelled_word_as_1():
+    for text in ("s2 s2'", "e1' e1", "s3^4 s3^-4"):
+        b = parse_braid(text, 3)
+        assert format_braid(b) == str(b) == "1" and repr(b) == "BraidWord(3, '1')"
+        assert parse_braid(format_braid(b), 3) == BraidWord.identity(3)
 
 
 def test_parse_braid_expands_powers():
